@@ -233,7 +233,8 @@ class QueryProcessor {
   // rollback. With `commit` false the database is rolled back even on
   // success, after the answer is harvested — the query service's
   // per-request isolation (result tuples are plain Values, valid across
-  // the rollback).
+  // the rollback). Each attempt's checkpoint journals what the attempt
+  // writes, so rollback costs its write set, independent of catalog size.
   StatusOr<QueryResult> RunChain(const Atom& query, Database* db,
                                  const std::vector<Strategy>& chain,
                                  Strategy decided, std::string reason,

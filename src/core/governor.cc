@@ -1,6 +1,6 @@
 #include "core/governor.h"
 
-#include <algorithm>
+#include <cstdio>
 
 #include "eval/trace.h"
 #include "util/failpoint.h"
@@ -123,10 +123,7 @@ Status ExecutionContext::ToStatus() const {
 }
 
 DatabaseCheckpoint::DatabaseCheckpoint(Database* db) : db_(db) {
-  for (const std::string& name : db_->RelationNames()) {
-    const Relation* rel = db_->Find(name);
-    marks_.push_back(Mark{name, rel->slots(), rel->erase_epoch()});
-  }
+  db_->OpenJournal();
 }
 
 DatabaseCheckpoint::~DatabaseCheckpoint() {
@@ -142,30 +139,32 @@ DatabaseCheckpoint::~DatabaseCheckpoint() {
 Status DatabaseCheckpoint::Rollback() {
   if (!active_) return Status::OK();
   active_ = false;
-  // Refuse — before touching anything — if a checkpointed relation was
-  // erased from since construction: TruncateToSlots cannot resurrect
-  // tombstones, so "rollback" would silently lose rows instead of
-  // restoring the checkpointed extent.
-  for (const Mark& mark : marks_) {
-    const Relation* rel = db_->Find(mark.name);
-    if (rel != nullptr && rel->erase_epoch() != mark.erase_epoch) {
-      return FailedPreconditionError(
-          StrCat("checkpoint rollback across EraseRows on relation '",
-                 mark.name,
-                 "': tombstoned rows cannot be restored by truncation"));
+  const WriteJournal journal = db_->CloseJournal();
+  // Refuse — before touching anything — if truncation cannot restore a
+  // pre-image exactly: rows present at the checkpoint were erased or
+  // cleared (the epoch moved), or an empty relation gained a base segment.
+  // An empty pre-image truncates to zero whatever the run did in between.
+  for (const WriteJournal::PreImage& pre : journal.pre_images) {
+    const Relation& rel = *pre.relation;
+    const bool exact = pre.slots > 0
+                           ? rel.mutation_epoch() == pre.mutation_epoch
+                           : rel.base_slots() == 0;
+    if (!exact) {
+      return FailedPreconditionError(StrCat(
+          "checkpoint rollback across EraseRows, Clear or AttachBaseSegment "
+          "on relation '",
+          rel.name(),
+          "': rows present at the checkpoint cannot be restored by "
+          "truncation"));
     }
   }
-  for (const std::string& name : db_->RelationNames()) {
-    auto it = std::find_if(
-        marks_.begin(), marks_.end(),
-        [&name](const Mark& mark) { return mark.name == name; });
-    if (it == marks_.end()) {
-      // Restoring the checkpointed catalog, not mutating it: don't bump
-      // the data generation (closure caches stay valid across rollbacks).
-      db_->Drop(name, /*bump_generation=*/false);
-    } else {
-      db_->Find(name)->TruncateToSlots(it->slots);
-    }
+  // Restoring the checkpointed catalog, not mutating it: don't bump the
+  // data generation (closure caches stay valid across rollbacks).
+  for (const std::string& name : journal.created) {
+    db_->Drop(name, /*bump_generation=*/false);
+  }
+  for (const WriteJournal::PreImage& pre : journal.pre_images) {
+    pre.relation->TruncateToSlots(pre.slots);
   }
   return Status::OK();
 }

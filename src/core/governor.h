@@ -25,7 +25,6 @@
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "storage/database.h"
 #include "util/deadline.h"
@@ -223,49 +222,52 @@ class GovernorScope {
   ExecutionContext* caller_;
 };
 
-// Snapshot of a database's extent, as relation-name -> slot-count pairs.
-// Because the evaluators only append (never erase) during a run, rolling
-// back means dropping relations created since the checkpoint and
-// truncating pre-existing ones to their recorded slot counts — restoring
-// the caller's database exactly. Rolls back on destruction unless
-// committed.
+// A rollback point over a database, kept as a write journal (see
+// WriteJournal): while the checkpoint is open, each relation records its
+// pre-image (slot count and mutation epoch) on its first mutation and each
+// new relation is logged by name. Because the evaluators only append
+// during a run, rolling back means dropping the logged creations and
+// truncating the journaled relations to their pre-image slot counts —
+// restoring the caller's database exactly. Opening, committing and rolling
+// back cost time proportional to the relations the run wrote, independent
+// of how many the catalog holds. Rolls back on destruction unless
+// committed; the data generation is never bumped. One checkpoint per
+// database at a time: opening a second CHECK-fails.
 //
-// NOT valid across EraseRows (the DRed incremental deletion path):
-// truncation cannot resurrect a tombstoned slot, so a rollback spanning
-// an erase would silently lose rows. This is enforced: each relation's
-// erase epoch is recorded at construction, and Rollback returns
-// FAILED_PRECONDITION — leaving the database untouched — if any
-// checkpointed relation was erased from in between. The governed engines
-// never erase, so the live query path cannot trip this; the query
-// service serialises incremental maintenance against query execution for
-// the same reason.
+// NOT valid across EraseRows, Clear or AttachBaseSegment of rows present
+// at the checkpoint (truncation cannot resurrect a tombstoned or cleared
+// slot, nor detach a base segment). This is enforced: Rollback returns
+// FAILED_PRECONDITION — leaving the database untouched — when a journaled
+// relation that held slots at the checkpoint has a moved mutation epoch,
+// or one that was empty now has a base segment. Clearing rows the run
+// appended itself (the separable engine's carry/seen rounds) stays
+// restorable. The governed engines never erase, so the live query path
+// cannot trip this; the query service serialises incremental maintenance
+// against query execution for the same reason. A relation that existed at
+// the checkpoint and is dropped inside it stays dropped.
 class DatabaseCheckpoint {
  public:
   explicit DatabaseCheckpoint(Database* db);
   // CHECK-fails if an un-committed checkpoint can no longer roll back
-  // (EraseRows ran in between); call Rollback() first to handle that as a
-  // recoverable error.
+  // (see above); call Rollback() first to handle that as a recoverable
+  // error.
   ~DatabaseCheckpoint();
   DatabaseCheckpoint(const DatabaseCheckpoint&) = delete;
   DatabaseCheckpoint& operator=(const DatabaseCheckpoint&) = delete;
 
   // Keeps everything written since the checkpoint.
-  void Commit() { active_ = false; }
+  void Commit() {
+    if (active_) db_->CloseJournal();
+    active_ = false;
+  }
   // Restores the checkpointed extent now (idempotent). Returns
-  // FAILED_PRECONDITION (database untouched, checkpoint deactivated) if a
-  // checkpointed relation saw EraseRows since construction.
+  // FAILED_PRECONDITION (database untouched, checkpoint deactivated) if
+  // truncation cannot restore a journaled relation exactly.
   Status Rollback();
 
  private:
-  struct Mark {
-    std::string name;
-    size_t slots = 0;
-    uint64_t erase_epoch = 0;
-  };
-
   Database* db_;
   bool active_ = true;
-  std::vector<Mark> marks_;
 };
 
 }  // namespace seprec

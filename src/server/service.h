@@ -4,9 +4,12 @@
 // The service owns nothing but caches: the Database is the caller's, and
 // every request executes against it with per-request isolation (the
 // checkpoint is rolled back even on success, so one program's derived
-// tuples never leak into another's evaluation). What a request pays for is
-// therefore parse + detection + plan compilation + phase 1 + phase 2; the
-// three cache layers peel those costs off front to back:
+// tuples never leak into another's evaluation). The checkpoint journals
+// only the relations a request writes, so isolation costs the write set,
+// not the catalog — which keeps every prepared program's IDB relations
+// and every cached plan's scratch. What a request pays for is therefore
+// parse + detection + plan compilation + phase 1 + phase 2; the three
+// cache layers peel those costs off front to back:
 //
 //   processor cache   program-text fingerprint -> parsed + analysed
 //                     QueryProcessor (detection runs once per program)

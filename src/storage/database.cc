@@ -1,6 +1,7 @@
 #include "storage/database.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "plan/stats.h"
 #include "util/string_util.h"
@@ -25,6 +26,8 @@ StatusOr<Relation*> Database::CreateRelation(std::string_view name,
   Relation* ptr = relation.get();
   ptr->SetAccountant(&accountant_);
   ptr->SetCounters(&counters_);
+  ptr->SetJournal(&journal_);
+  if (journal_.open_id != 0) journal_.created.emplace_back(name);
   relations_.emplace(std::string(name), std::move(relation));
   return ptr;
 }
@@ -69,18 +72,34 @@ Status Database::AddFact(std::string_view relation,
 }
 
 void Database::Drop(std::string_view name, bool bump_generation) {
-  if (stats_ != nullptr) {
-    if (const Relation* rel = Find(name); rel != nullptr) {
-      stats_->Forget(rel);
-    }
+  auto it = relations_.find(std::string(name));
+  if (it == relations_.end()) return;
+  const Relation* rel = it->second.get();
+  if (stats_ != nullptr) stats_->Forget(rel);
+  if (journal_.open_id != 0) {
+    std::erase_if(journal_.pre_images,
+                  [rel](const WriteJournal::PreImage& pre) {
+                    return pre.relation == rel;
+                  });
   }
-  if (relations_.erase(std::string(name)) > 0 && bump_generation &&
-      !name.starts_with("$")) {
+  relations_.erase(it);
+  if (bump_generation && !name.starts_with("$")) {
     // Dropping user-visible data invalidates derived caches; scratch
     // relations ('$'-prefixed) come and go with every evaluation and
     // never feed a cache key.
     BumpGeneration();
   }
+}
+
+void Database::OpenJournal() {
+  SEPREC_CHECK(journal_.open_id == 0 &&
+               "a DatabaseCheckpoint is already open on this database "
+               "(checkpoints do not nest)");
+  journal_.open_id = ++journal_opens_;
+}
+
+WriteJournal Database::CloseJournal() {
+  return std::exchange(journal_, WriteJournal());
 }
 
 std::vector<std::string> Database::RelationNames() const {

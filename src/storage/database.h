@@ -48,11 +48,21 @@ class Database {
 
   // Removes a relation if present (used to drop $-prefixed scratch
   // relations created during evaluation). Any Relation*/Index references
-  // become invalid. Dropping a non-scratch relation bumps the data
-  // generation unless `bump_generation` is false — DatabaseCheckpoint
-  // rollback passes false because its drops restore the pre-run catalog
-  // rather than mutate it.
+  // become invalid, and an open journal forgets the relation's pre-image
+  // (a relation dropped inside a checkpoint stays dropped). Dropping a
+  // non-scratch relation bumps the data generation unless
+  // `bump_generation` is false — DatabaseCheckpoint rollback passes false
+  // because its drops restore the pre-run catalog rather than mutate it.
   void Drop(std::string_view name, bool bump_generation = true);
+
+  // The write journal DatabaseCheckpoint rolls back from (see
+  // WriteJournal). OpenJournal CHECK-fails if one is already open:
+  // checkpoints do not nest. CloseJournal stops recording and returns what
+  // was recorded.
+  void OpenJournal();
+  WriteJournal CloseJournal();
+  // Relations the open journal holds a pre-image for (0 when closed).
+  size_t journaled_relations() const { return journal_.pre_images.size(); }
 
   // Names of all relations, sorted (stable output for tests / tools).
   std::vector<std::string> RelationNames() const;
@@ -109,6 +119,8 @@ class Database {
   // catalog holds no Relation references across calls, only cache entries
   // keyed by pointer that Drop() explicitly forgets.
   std::unique_ptr<StatsCatalog> stats_;
+  WriteJournal journal_;
+  uint64_t journal_opens_ = 0;  // source of WriteJournal::open_id
   std::unordered_map<std::string, std::unique_ptr<Relation>> relations_;
 };
 

@@ -87,6 +87,7 @@ void Relation::SetAccountant(MemoryAccountant* accountant) {
 
 bool Relation::Insert(Row row) {
   SEPREC_CHECK(row.size() == arity_);
+  NoteWrite();
   const bool counting = counters_ != nullptr && counters_->active;
   if (counting) {
     counters_->attempts.fetch_add(1, std::memory_order_relaxed);
@@ -152,6 +153,7 @@ const Index& Relation::GetIndex(const ColumnList& columns) const {
 }
 
 void Relation::Clear() {
+  NoteWrite();
   const size_t delta_slots = num_slots_ - base_slots_;
   if (accountant_ != nullptr && delta_slots > 0) {
     accountant_->Release(delta_slots * RowBytes());
@@ -180,13 +182,13 @@ size_t Relation::InsertAll(const Relation& other) {
 size_t Relation::EraseRows(const Relation& to_remove) {
   SEPREC_CHECK(to_remove.arity() == arity_);
   if (to_remove.empty() || num_rows_ == 0) return 0;
+  NoteWrite();
   if (arity_ == 0) {
     // At most the single empty tuple.
     if (num_rows_ == 1) {
       dead_[*row_set_.begin()] = true;
       row_set_.clear();
       num_rows_ = 0;
-      ++erase_epoch_;
       ++mutation_epoch_;
       return 1;
     }
@@ -212,17 +214,17 @@ size_t Relation::EraseRows(const Relation& to_remove) {
       ++removed;
     }
   });
-  if (removed > 0) {
-    ++erase_epoch_;
-    ++mutation_epoch_;
-  }
+  if (removed > 0) ++mutation_epoch_;
   return removed;
 }
 
 void Relation::TruncateToSlots(size_t slots) {
   SEPREC_CHECK(slots <= num_slots_);
+  // Truncation under an open journal would hide from the checkpoint's
+  // pre-image check that rows present at the checkpoint are gone.
+  SEPREC_CHECK(journal_ == nullptr || journal_->open_id == 0);
   // Truncation can only shed delta rows; a base segment is not an append
-  // and cannot be rolled back (AttachBaseSegment bumps erase_epoch_ so
+  // and cannot be rolled back (AttachBaseSegment bumps mutation_epoch_ so
   // checkpoints spanning an attach refuse rollback before reaching here).
   SEPREC_CHECK(slots >= base_slots_);
   if (slots == num_slots_) return;
@@ -253,6 +255,7 @@ void Relation::AttachBaseSegment(
   SEPREC_CHECK(num_slots_ == 0);
   SEPREC_CHECK(arity_ > 0);
   SEPREC_CHECK(base->arity() == arity_);
+  NoteWrite();
   base_ = std::move(base);
   base_slots_ = static_cast<size_t>(base_->rows());
   base_dead_ = 0;
@@ -260,10 +263,7 @@ void Relation::AttachBaseSegment(
   num_rows_ = base_slots_;
   dead_.assign(base_slots_, false);
   indexes_.clear();
-  if (base_slots_ > 0) {
-    ++mutation_epoch_;
-    ++erase_epoch_;  // checkpoints from before the attach must not roll back
-  }
+  if (base_slots_ > 0) ++mutation_epoch_;
   // No accountant charge — see the header comment on AttachBaseSegment.
 }
 

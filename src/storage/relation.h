@@ -94,6 +94,28 @@ struct StorageCounters {
   bool active = false;
 };
 
+// The write journal behind DatabaseCheckpoint. While it is open, a
+// relation records its pre-image on its first mutation and every relation
+// created is logged by name, so a rollback touches the write set and never
+// the whole catalog. A Database owns one and hands it to each relation it
+// creates, like the accountant; it is written only on the single-mutator
+// path (see the Relation thread model).
+struct WriteJournal {
+  // A journaled relation's extent when the journal opened.
+  struct PreImage {
+    Relation* relation;
+    size_t slots;
+    uint64_t mutation_epoch;
+  };
+
+  // 0 while closed, else distinct per opening: a relation compares it with
+  // the id it last journaled under, so closing never has to visit the
+  // relations to reset them.
+  uint64_t open_id = 0;
+  std::vector<PreImage> pre_images;
+  std::vector<std::string> created;
+};
+
 // Hash index over a subset of a relation's columns. Owned by the relation;
 // kept up to date as rows are inserted.
 class Index {
@@ -142,6 +164,14 @@ class Relation {
   // The counters must outlive the relation.
   void SetCounters(StorageCounters* counters) { counters_ = counters; }
 
+  // Attaches the owning database's write journal. A relation attached
+  // while the journal is open counts as already journaled: it was created
+  // inside the checkpoint, and rolling it back means dropping it.
+  void SetJournal(WriteJournal* journal) {
+    journal_ = journal;
+    journaled_in_ = journal->open_id;
+  }
+
   const std::string& name() const { return name_; }
   size_t arity() const { return arity_; }
   // Number of LIVE rows.
@@ -150,16 +180,14 @@ class Relation {
   // Number of storage slots (live + tombstoned). Equal to size() unless
   // EraseRows was used.
   size_t slots() const { return num_slots_; }
-  // Counts EraseRows calls that removed at least one row. TruncateToSlots
-  // cannot undo a tombstoning erase, so DatabaseCheckpoint records this to
-  // refuse rollback across the DRed deletion path.
-  uint64_t erase_epoch() const { return erase_epoch_; }
   // Counts content mutations that can alias a (size, slots) fingerprint:
-  // erases and non-empty Clears. StatsCatalog folds it into its entry
-  // fingerprint so an erase/clear followed by inserts restoring the same
-  // extent cannot serve stale per-column statistics. TruncateToSlots does
-  // not bump it — truncation restores an exact earlier content prefix, and
-  // it runs on every checkpoint rollback (bumping would thrash the stats
+  // erases, non-empty Clears and base attaches. StatsCatalog folds it into
+  // its entry fingerprint so an erase/clear followed by inserts restoring
+  // the same extent cannot serve stale per-column statistics, and
+  // DatabaseCheckpoint compares it with the journaled pre-image to refuse
+  // a rollback that truncation cannot make exact. TruncateToSlots does not
+  // bump it — truncation restores an exact earlier content prefix, and it
+  // runs on every checkpoint rollback (bumping would thrash the stats
   // cache once per governed query attempt).
   uint64_t mutation_epoch() const { return mutation_epoch_; }
   bool IsLive(size_t slot) const {
@@ -218,7 +246,9 @@ class Relation {
   // the relation to an earlier append point. This is the rollback primitive
   // of DatabaseCheckpoint: the evaluators only ever append, so truncating
   // to the checkpointed slot count undoes their writes exactly. Indexes are
-  // dropped (rebuilt lazily). `slots` must not exceed slots().
+  // dropped (rebuilt lazily). `slots` must not exceed slots(), and no
+  // checkpoint may be open on the owning database (the checkpoint closes
+  // its journal before truncating).
   void TruncateToSlots(size_t slots);
 
   // Seats an immutable, mmap-backed segment as this relation's base
@@ -228,9 +258,9 @@ class Relation {
   // delta layer above them, and EraseRows tombstones base slots like any
   // other. The base is deliberately NOT charged to the accountant: its
   // bytes are file-backed page cache, not query heap, so only the delta
-  // counts against ExecutionLimits::max_bytes. Bumps mutation_epoch_ and
-  // erase_epoch_ (a checkpoint from before the attach must refuse
-  // rollback — truncation cannot detach a base).
+  // counts against ExecutionLimits::max_bytes. Bumps mutation_epoch_ (a
+  // checkpoint from before the attach must refuse rollback — truncation
+  // cannot detach a base).
   void AttachBaseSegment(std::shared_ptr<const RelationSegment> base);
 
   // The attached base segment, or nullptr. Shared so compaction can hand
@@ -262,6 +292,16 @@ class Relation {
   // Out-of-line so this header needs only a RelationSegment declaration.
   Row BaseRow(size_t slot) const;
 
+  // The journal hook every mutator runs before changing anything: on the
+  // first mutation under an open journal, record the pre-image.
+  void NoteWrite() {
+    if (journal_ != nullptr && journal_->open_id != 0 &&
+        journaled_in_ != journal_->open_id) {
+      journal_->pre_images.push_back({this, num_slots_, mutation_epoch_});
+      journaled_in_ = journal_->open_id;
+    }
+  }
+
   struct RowIdHash {
     const Relation* rel;
     size_t operator()(uint32_t row_id) const {
@@ -284,8 +324,7 @@ class Relation {
   size_t arity_;
   size_t num_rows_ = 0;   // live rows
   size_t num_slots_ = 0;  // live + tombstoned
-  uint64_t erase_epoch_ = 0;     // effective EraseRows calls
-  uint64_t mutation_epoch_ = 0;  // erases + non-empty Clears
+  uint64_t mutation_epoch_ = 0;  // erases + non-empty Clears + attaches
   std::vector<Value> data_;  // row-major, num_slots_ * arity_ values
   std::vector<bool> dead_;   // per slot
   // Approximate bytes a stored row costs, for the accountant.
@@ -303,6 +342,8 @@ class Relation {
   mutable std::mutex index_mu_;
   MemoryAccountant* accountant_ = nullptr;  // not owned; may be null
   StorageCounters* counters_ = nullptr;     // not owned; may be null
+  WriteJournal* journal_ = nullptr;         // not owned; may be null
+  uint64_t journaled_in_ = 0;  // journal open_id of the last pre-image
 
   // Mmap-backed base extent (see AttachBaseSegment); null for relations
   // living entirely on the heap.

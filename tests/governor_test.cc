@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <thread>
 
 #include "core/compiler.h"
@@ -14,7 +15,9 @@
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "storage/database.h"
+#include "storage/segment/snapshot_v3.h"
 #include "util/failpoint.h"
+#include "util/string_util.h"
 
 namespace seprec {
 namespace {
@@ -263,6 +266,183 @@ TEST(DatabaseCheckpoint, RolledBackRelationStillQueryable) {
   EXPECT_TRUE(r->Contains(Row(one.data(), 1)));
   EXPECT_TRUE(r->Insert({Value::Int(2)}));
   EXPECT_EQ(r->size(), 2u);
+}
+
+std::vector<int64_t> IntRows(const Relation& rel) {
+  std::vector<int64_t> out;
+  rel.ForEachRow([&out](Row row) { out.push_back(row[0].as_int()); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Clear() of rows present at the checkpoint, then a refill: truncation
+// cannot bring the cleared rows back whatever the refill's size, so
+// Rollback must refuse and leave the database as the run left it.
+void ExpectRollbackAcrossClearRefuses(const std::vector<int64_t>& refill) {
+  Database db;
+  Relation* r = *db.CreateRelation("r", 1);
+  for (int64_t v : {1, 2, 3}) r->Insert({Value::Int(v)});
+  DatabaseCheckpoint checkpoint(&db);
+  ASSERT_TRUE(db.CreateRelation("s", 1).ok());
+  r->Clear();
+  for (int64_t v : refill) r->Insert({Value::Int(v)});
+
+  Status status = checkpoint.Rollback();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_NE(status.message().find("'r'"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(IntRows(*db.Find("r")), refill);
+  EXPECT_NE(db.Find("s"), nullptr);
+  EXPECT_TRUE(checkpoint.Rollback().ok());
+}
+
+TEST(DatabaseCheckpoint, RollbackAcrossClearRefilledSmallerRefuses) {
+  ExpectRollbackAcrossClearRefuses({7});
+}
+
+TEST(DatabaseCheckpoint, RollbackAcrossClearRefilledLargerRefuses) {
+  ExpectRollbackAcrossClearRefuses({7, 8, 9, 10});
+}
+
+TEST(DatabaseCheckpoint, ClearingOwnAppendsStillRollsBack) {
+  // The separable engine's carry/seen relations are empty at the
+  // checkpoint and cleared every round: only rows the run appended itself
+  // are cleared, so truncating to zero is exact.
+  Database db;
+  Relation* carry = *db.CreateRelation("carry", 1);
+  {
+    DatabaseCheckpoint checkpoint(&db);
+    for (int64_t round = 0; round < 3; ++round) {
+      carry->Clear();
+      for (int64_t v = 0; v <= round; ++v) carry->Insert({Value::Int(v)});
+    }
+    ASSERT_TRUE(checkpoint.Rollback().ok());
+  }
+  EXPECT_TRUE(db.Find("carry")->empty());
+  EXPECT_EQ(db.Find("carry")->slots(), 0u);
+}
+
+TEST(DatabaseCheckpoint, RollbackAcrossAttachedSegmentRefuses) {
+  // Compaction clears a relation and re-seats it on a base segment. No
+  // truncation detaches a base, so even a relation that was empty at the
+  // checkpoint cannot be restored.
+  const std::string path =
+      StrCat(::testing::TempDir(), "/seprec_governor_attach.v3");
+  Database db;
+  Relation* fresh = *db.CreateRelation("fresh", 1);
+  DatabaseCheckpoint checkpoint(&db);
+  fresh->Insert({Value::Int(5)});
+  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
+  ASSERT_TRUE(CompactToSnapshotSegments(&db, path).ok());
+  ASSERT_EQ(fresh->base_slots(), 1u);
+  Status status = checkpoint.Rollback();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_EQ(IntRows(*fresh), (std::vector<int64_t>{5}));
+  std::remove(path.c_str());
+}
+
+TEST(DatabaseCheckpoint, RecreatedRelationIsGoneAfterRollback) {
+  Database db;
+  {
+    DatabaseCheckpoint checkpoint(&db);
+    Relation* s = *db.CreateRelation("s", 1);
+    s->Insert({Value::Int(1)});
+    db.Drop("s");
+    Relation* again = *db.CreateRelation("s", 2);
+    again->Insert({Value::Int(1), Value::Int(2)});
+  }
+  EXPECT_EQ(db.Find("s"), nullptr);
+  EXPECT_TRUE(db.RelationNames().empty());
+}
+
+TEST(DatabaseCheckpoint, DroppedPreExistingRelationLeavesNoJournalEntry) {
+  // The journal holds a pointer to each written relation; dropping one
+  // inside the checkpoint must remove that entry, or the rollback would
+  // truncate freed memory (caught by the ASan leg).
+  Database db;
+  Relation* r = *db.CreateRelation("r", 1);
+  r->Insert({Value::Int(1)});
+  Relation* keep = *db.CreateRelation("keep", 1);
+  keep->Insert({Value::Int(1)});
+  {
+    DatabaseCheckpoint checkpoint(&db);
+    r->Insert({Value::Int(2)});
+    keep->Insert({Value::Int(2)});
+    EXPECT_EQ(db.journaled_relations(), 2u);
+    db.Drop("r");
+    EXPECT_EQ(db.journaled_relations(), 1u);
+    ASSERT_TRUE(checkpoint.Rollback().ok());
+  }
+  EXPECT_EQ(db.Find("r"), nullptr);
+  EXPECT_EQ(IntRows(*db.Find("keep")), (std::vector<int64_t>{1}));
+}
+
+TEST(DatabaseCheckpoint, BackToBackCheckpointsEachRollBack) {
+  // RunChain opens one checkpoint per fallback hop on the same database.
+  Database db;
+  Relation* r = *db.CreateRelation("r", 1);
+  r->Insert({Value::Int(1)});
+  {
+    DatabaseCheckpoint first(&db);
+    r->Insert({Value::Int(2)});
+    ASSERT_TRUE(db.CreateRelation("first", 1).ok());
+  }
+  {
+    DatabaseCheckpoint second(&db);
+    EXPECT_EQ(db.journaled_relations(), 0u);
+    r->Insert({Value::Int(3)});
+    ASSERT_TRUE(db.CreateRelation("second", 1).ok());
+    EXPECT_EQ(db.journaled_relations(), 1u);
+  }
+  EXPECT_EQ(IntRows(*r), (std::vector<int64_t>{1}));
+  EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"r"});
+  {
+    DatabaseCheckpoint third(&db);
+    r->Insert({Value::Int(4)});
+    third.Commit();
+  }
+  EXPECT_EQ(IntRows(*r), (std::vector<int64_t>{1, 4}));
+  // A committed checkpoint closed its journal: later writes record nothing.
+  r->Insert({Value::Int(5)});
+  EXPECT_EQ(db.journaled_relations(), 0u);
+}
+
+TEST(DatabaseCheckpointDeathTest, NestedCheckpointFailsCheck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Database db;
+  DatabaseCheckpoint outer(&db);
+  EXPECT_DEATH(DatabaseCheckpoint inner(&db), "already open");
+}
+
+TEST(DatabaseCheckpoint, JournalsOnlyTheWriteSet) {
+  // Checkpoint cost must not depend on catalog size: with 10,000 idle
+  // relations, a run that writes two of them journals exactly two.
+  Database db;
+  for (int i = 0; i < 10000; ++i) {
+    Relation* idle = *db.CreateRelation(StrCat("idle", i), 1);
+    idle->Insert({Value::Int(i)});
+  }
+  Relation* a = db.Find("idle17");
+  Relation* b = db.Find("idle9001");
+  {
+    DatabaseCheckpoint checkpoint(&db);
+    EXPECT_EQ(db.journaled_relations(), 0u);
+    for (int64_t v = 0; v < 100; ++v) {
+      a->Insert({Value::Int(-v - 1)});
+      b->Insert({Value::Int(-v - 1)});
+    }
+    // A relation created inside is logged by name, not journaled.
+    Relation* scratch = *db.CreateRelation("$scratch", 1);
+    scratch->Insert({Value::Int(1)});
+    EXPECT_EQ(db.journaled_relations(), 2u);
+  }
+  EXPECT_EQ(db.journaled_relations(), 0u);
+  EXPECT_EQ(IntRows(*a), (std::vector<int64_t>{17}));
+  EXPECT_EQ(IntRows(*b), (std::vector<int64_t>{9001}));
+  EXPECT_EQ(db.Find("$scratch"), nullptr);
+  EXPECT_EQ(db.RelationNames().size(), 10000u);
 }
 
 // ---------------------------------------------------------------------------
