@@ -337,7 +337,7 @@ void SerializeTo(const Value& value, std::string* out);
 
 void SerializeString(const std::string& s, std::string* out) {
   out->push_back('"');
-  *out += Escape(s);
+  EscapeTo(s, out);
   out->push_back('"');
 }
 
@@ -397,27 +397,31 @@ std::string Serialize(const Value& value) {
 std::string Escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  EscapeTo(s, &out);
+  return out;
+}
+
+void EscapeTo(std::string_view s, std::string* out) {
   for (char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\b': *out += "\\b"; break;
+      case '\f': *out += "\\f"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          *out += buf;
         } else {
-          out.push_back(c);
+          out->push_back(c);
         }
     }
   }
-  return out;
 }
 
 }  // namespace seprec::json

@@ -79,6 +79,9 @@ std::string Serialize(const Value& value);
 // Escapes `s` as the INTERIOR of a JSON string (no surrounding quotes).
 std::string Escape(std::string_view s);
 
+// As Escape, appending to *out (no temporary string per call).
+void EscapeTo(std::string_view s, std::string* out);
+
 }  // namespace seprec::json
 
 #endif  // SEPREC_SERVER_JSON_H_

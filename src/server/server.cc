@@ -6,23 +6,30 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
-#include <sstream>
 
 #include "server/json.h"
+#include "storage/io.h"
 #include "util/string_util.h"
 
 namespace seprec {
 
 namespace {
 
-// Full-line write with MSG_NOSIGNAL: a client that hung up mid-stream must
+// A reply is written in batches of whole lines of at most this many bytes
+// (one longer line goes alone): a 5,000-tuple reply costs a handful of
+// send() calls instead of one per tuple, and a subscription push aimed at
+// the same connection waits for at most one batch.
+constexpr size_t kReplyBatchBytes = size_t{64} << 10;
+
+// Full write with MSG_NOSIGNAL: a client that hung up mid-stream must
 // surface as an error on this session's thread, not kill the process.
-bool WriteAll(int fd, const std::string& line) {
+bool WriteAll(int fd, std::string_view bytes) {
   size_t off = 0;
-  while (off < line.size()) {
+  while (off < bytes.size()) {
     ssize_t n =
-        ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -32,25 +39,13 @@ bool WriteAll(int fd, const std::string& line) {
   return true;
 }
 
-// Serialises and writes one response line under the connection's write
-// mutex. Locking per line (not per request) keeps a long result stream
-// from starving a subscription push aimed at the same connection.
-bool SendJson(int fd, std::mutex& write_mu, json::Object obj) {
-  std::string line = json::Serialize(json::Value(std::move(obj)));
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(write_mu);
-  return WriteAll(fd, line);
-}
-
-bool SendError(int fd, std::mutex& write_mu, int64_t id,
-               const Status& status) {
+// The members every "done" line carries.
+json::Object Done(int64_t id) {
   json::Object obj;
   obj.emplace("id", json::Value(id));
-  obj.emplace("ev", json::Value("error"));
-  obj.emplace("code",
-              json::Value(std::string(StatusCodeToString(status.code()))));
-  obj.emplace("message", json::Value(status.message()));
-  return SendJson(fd, write_mu, std::move(obj));
+  obj.emplace("ev", json::Value("done"));
+  obj.emplace("ok", json::Value(true));
+  return obj;
 }
 
 StatusOr<Strategy> ParseStrategyName(const std::string& name) {
@@ -89,7 +84,156 @@ StatusOr<ExecutionLimits> ParseLimits(const json::Value& limits) {
   return out;
 }
 
+// Builds a load's inline "rows" into a batch. A string cell is typed as
+// the TSV reader types a column, so inline and file loads store the same
+// values; rows a TSV line cannot carry are refused rather than altered.
+StatusOr<TupleBatch> RowsToBatch(const std::string& relation, BatchOp op,
+                                 const json::Array& rows) {
+  if (rows.empty()) return InvalidArgumentError("'rows' is empty");
+  TupleBatch batch;
+  batch.relation = relation;
+  batch.op = op;
+  batch.rows.reserve(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const json::Array& cells = rows[r].as_array();
+    if (cells.empty()) {
+      return InvalidArgumentError(
+          StrCat("line ", r + 1, ": a row must be a non-empty array"));
+    }
+    if (r == 0) batch.arity = cells.size();
+    if (cells.size() != batch.arity) {
+      return InvalidArgumentError(
+          StrCat("line ", r + 1, ": expected ", batch.arity,
+                 " columns for relation '", relation, "', found ",
+                 cells.size()));
+    }
+    std::vector<TypedCell> row;
+    row.reserve(cells.size());
+    for (size_t c = 0; c < cells.size(); ++c) {
+      auto bad = [&](std::string_view why) {
+        return InvalidArgumentError(
+            StrCat("line ", r + 1, ", column ", c + 1, ": ", why));
+      };
+      int64_t v = 0;
+      if (cells[c].is_int()) {
+        v = cells[c].as_int();
+        if (v < Value::kMinInt || v > Value::kMaxInt) {
+          return bad(StrCat("integer ", v, " out of range"));
+        }
+        row.push_back(TypedCell::Int(v));
+        continue;
+      }
+      if (!cells[c].is_string()) {
+        return bad("a cell must be a string or an integer");
+      }
+      const std::string& text = cells[c].as_string();
+      // A tab or line break would split the TSV line; a first cell
+      // starting with '#' makes it a comment, and an empty one-column row
+      // an empty line, both of which the reader skips.
+      if (text.find_first_of("\t\r\n") != std::string::npos) {
+        return bad("a cell cannot contain a tab, CR or LF");
+      }
+      if (c == 0 && !text.empty() && text[0] == '#') {
+        return bad("a row's first cell cannot start with '#'");
+      }
+      if (cells.size() == 1 && text.empty()) {
+        return bad("a one-column row cannot be empty");
+      }
+      switch (ClassifyToken(text, &v)) {
+        case TokenKind::kInt:
+          row.push_back(TypedCell::Int(v));
+          break;
+        case TokenKind::kSymbol:
+          row.push_back(TypedCell::Symbol(text));
+          break;
+        case TokenKind::kBadInt:
+          return bad(StrCat("integer '", text, "' out of range"));
+      }
+    }
+    batch.rows.push_back(std::move(row));
+  }
+  return batch;
+}
+
 }  // namespace
+
+// Every response goes through one Reply: a request's lines (or one
+// subscription push) are appended to a per-request buffer and written in
+// batches of whole lines, each under the connection's write mutex, so a
+// push from another session's thread lands only between batches.
+class SocketServer::Reply {
+ public:
+  Reply(SocketServer* server, Conn* conn) : server_(server), conn_(conn) {}
+  Reply(const Reply&) = delete;
+  Reply& operator=(const Reply&) = delete;
+
+  // The appenders return false once a write has failed (the client hung
+  // up), so a long result stream can stop early.
+  bool Line(json::Object obj) {
+    const size_t start = buf_.size();
+    buf_ += json::Serialize(json::Value(std::move(obj)));
+    return EndLine(start);
+  }
+
+  bool Error(int64_t id, const Status& status) {
+    json::Object obj;
+    obj.emplace("id", json::Value(id));
+    obj.emplace("ev", json::Value("error"));
+    obj.emplace("code",
+                json::Value(std::string(StatusCodeToString(status.code()))));
+    obj.emplace("message", json::Value(status.message()));
+    return Line(std::move(obj));
+  }
+
+  // Appends the bytes Line() would for {"ev":"result","id":id,
+  // "tuple":tuple} without building the object: result lines are nearly
+  // all of a large reply.
+  bool Result(int64_t id, std::string_view tuple) {
+    const size_t start = buf_.size();
+    buf_ += R"({"ev":"result","id":)";
+    char digits[24];
+    buf_.append(digits,
+                std::to_chars(digits, digits + sizeof(digits), id).ptr);
+    buf_ += R"(,"tuple":")";
+    json::EscapeTo(tuple, &buf_);
+    buf_ += R"("})";
+    return EndLine(start);
+  }
+
+  // Writes whatever is buffered: the end of the reply.
+  bool Flush() {
+    if (!buf_.empty()) Write(buf_.size());
+    return ok_;
+  }
+
+ private:
+  // Terminates the line that starts at `start`. When it would carry the
+  // batch past kReplyBatchBytes, the lines before it go out first.
+  bool EndLine(size_t start) {
+    buf_.push_back('\n');
+    if (buf_.size() > kReplyBatchBytes && start > 0) Write(start);
+    if (buf_.size() >= kReplyBatchBytes) Write(buf_.size());
+    return ok_;
+  }
+
+  // Writes the first `n` buffered bytes (whole lines) and drops them.
+  void Write(size_t n) {
+    if (ok_) {
+      std::lock_guard<std::mutex> lock(conn_->write_mu);
+      ok_ = WriteAll(conn_->fd, std::string_view(buf_.data(), n));
+    }
+    if (ok_) {
+      server_->reply_writes_.fetch_add(1, std::memory_order_relaxed);
+      server_->reply_bytes_.fetch_add(n, std::memory_order_relaxed);
+    }
+    buf_.erase(0, n);
+  }
+
+  SocketServer* server_;
+  Conn* conn_;
+  std::string buf_;
+  bool ok_ = true;
+};
 
 SocketServer::SocketServer(QueryService* service) : service_(service) {}
 
@@ -171,27 +315,36 @@ void SocketServer::Session(int fd) {
   }
   auto conn = std::make_shared<Conn>();
   conn->fd = fd;
-  std::string buffer;
+  std::string buffer;  // the partial line carried between recv() calls
   char chunk[4096];
   while (!stopping_.load(std::memory_order_acquire)) {
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // client hung up (or Stop() shut the socket down)
+    // The carried partial line holds no '\n' (it was searched when it
+    // arrived), so the search starts at the new bytes: a line spanning
+    // many recv() calls is scanned once, not once per call.
+    size_t scan = buffer.size();
     buffer.append(chunk, static_cast<size_t>(n));
-    size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
+    size_t start = 0;  // first byte of the next unconsumed line
+    size_t nl = 0;
+    while ((nl = buffer.find('\n', scan)) != std::string::npos) {
+      std::string_view line(buffer.data() + start, nl - start);
+      start = scan = nl + 1;
       if (line.empty()) continue;
-      HandleLine(conn, line);
+      Reply reply(this, conn.get());
+      HandleLine(conn, line, &reply);
+      reply.Flush();
     }
+    buffer.erase(0, start);  // one compaction for all the lines consumed
     if (buffer.size() > max_line_bytes_) {
       // A client streaming bytes with no '\n' would otherwise grow this
       // buffer without bound; fail the connection before it can exhaust
       // server memory.
-      SendError(fd, conn->write_mu, -1,
-                ResourceExhaustedError(StrCat(
-                    "request line exceeds ", max_line_bytes_, " bytes")));
+      Reply reply(this, conn.get());
+      reply.Error(-1, ResourceExhaustedError(StrCat(
+                          "request line exceeds ", max_line_bytes_, " bytes")));
+      reply.Flush();
       break;
     }
   }
@@ -228,12 +381,10 @@ void SocketServer::Session(int fd) {
 }
 
 void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
-                              const std::string& line) {
-  const int fd = conn->fd;
-  std::mutex& wmu = conn->write_mu;
+                              std::string_view line, Reply* reply) {
   StatusOr<json::Value> parsed = json::Parse(line);
   if (!parsed.ok()) {
-    SendError(fd, wmu, -1, parsed.status());
+    reply->Error(-1, parsed.status());
     return;
   }
   const json::Value& req = *parsed;
@@ -241,20 +392,15 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
   const std::string& op = req.Get("op").as_string();
 
   if (op == "ping") {
-    json::Object obj;
-    obj.emplace("id", json::Value(id));
-    obj.emplace("ev", json::Value("done"));
-    obj.emplace("ok", json::Value(true));
-    SendJson(fd, wmu, std::move(obj));
+    reply->Line(Done(id));
     return;
   }
 
   if (op == "shutdown") {
-    json::Object obj;
-    obj.emplace("id", json::Value(id));
-    obj.emplace("ev", json::Value("done"));
-    obj.emplace("ok", json::Value(true));
-    SendJson(fd, wmu, std::move(obj));
+    // The ack goes out before Wait() returns: the caller's Stop() shuts
+    // every session socket down.
+    reply->Line(Done(id));
+    reply->Flush();
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_requested_ = true;
     shutdown_cv_.notify_all();
@@ -278,42 +424,39 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
     stats.emplace("plans", json::Value(s.plans));
     stats.emplace("closures", json::Value(s.closures));
     stats.emplace("generation", json::Value(s.generation));
+    stats.emplace("reply_writes", json::Value(reply_writes_.load(
+                                      std::memory_order_relaxed)));
+    stats.emplace("reply_bytes", json::Value(reply_bytes_.load(
+                                     std::memory_order_relaxed)));
     {
       std::lock_guard<std::mutex> lock(subs_mu_);
       stats.emplace("subscriptions", json::Value(subs_.size()));
     }
-    json::Object obj;
-    obj.emplace("id", json::Value(id));
-    obj.emplace("ev", json::Value("done"));
-    obj.emplace("ok", json::Value(true));
+    json::Object obj = Done(id);
     obj.emplace("stats", json::Value(std::move(stats)));
-    SendJson(fd, wmu, std::move(obj));
+    reply->Line(std::move(obj));
     return;
   }
 
   if (op == "checkpoint") {
     StatusOr<CheckpointInfo> info = service_->Checkpoint();
     if (!info.ok()) {
-      SendError(fd, wmu, id, info.status());
+      reply->Error(id, info.status());
       return;
     }
-    json::Object obj;
-    obj.emplace("id", json::Value(id));
-    obj.emplace("ev", json::Value("done"));
-    obj.emplace("ok", json::Value(true));
+    json::Object obj = Done(id);
     obj.emplace("snapshot", json::Value(info->snapshot_file));
     obj.emplace("generation", json::Value(info->generation));
     obj.emplace("wal_bytes_truncated",
                 json::Value(info->wal_bytes_truncated));
-    SendJson(fd, wmu, std::move(obj));
+    reply->Line(std::move(obj));
     return;
   }
 
   if (op == "load") {
     const std::string& relation = req.Get("relation").as_string();
     if (relation.empty()) {
-      SendError(fd, wmu, id,
-                InvalidArgumentError("'load' needs a 'relation' name"));
+      reply->Error(id, InvalidArgumentError("'load' needs a 'relation' name"));
       return;
     }
     const std::string& mode = req.Get("mode").as_string();
@@ -321,10 +464,9 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
     if (mode == "delete") {
       batch_op = BatchOp::kDelete;
     } else if (!mode.empty() && mode != "insert") {
-      SendError(fd, wmu, id,
-                InvalidArgumentError(StrCat(
-                    "unknown load mode '", mode,
-                    "' (expected 'insert' or 'delete')")));
+      reply->Error(id, InvalidArgumentError(StrCat(
+                           "unknown load mode '", mode,
+                           "' (expected 'insert' or 'delete')")));
       return;
     }
     StatusOr<size_t> changed = InternalError("unreachable");
@@ -332,46 +474,29 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
       changed = service_->ApplyTsvFile(relation, batch_op,
                                        req.Get("path").as_string());
     } else if (req.Get("rows").is_array()) {
-      // Inline rows round-trip through the TSV reader so typing (integer
-      // vs symbol columns) matches file loads exactly.
-      std::ostringstream tsv;
-      for (const json::Value& row : req.Get("rows").as_array()) {
-        bool first = true;
-        for (const json::Value& cell : row.as_array()) {
-          if (!first) tsv << '\t';
-          first = false;
-          if (cell.is_string()) {
-            tsv << cell.as_string();
-          } else {
-            tsv << cell.as_int();
-          }
-        }
-        tsv << '\n';
-      }
-      std::istringstream in(tsv.str());
-      changed = service_->ApplyTsv(relation, batch_op, in);
+      StatusOr<TupleBatch> batch =
+          RowsToBatch(relation, batch_op, req.Get("rows").as_array());
+      changed = batch.ok() ? service_->Apply(*batch)
+                           : StatusOr<size_t>(batch.status());
     } else {
-      SendError(fd, wmu, id,
-                InvalidArgumentError("'load' needs 'path' or 'rows'"));
+      reply->Error(id, InvalidArgumentError("'load' needs 'path' or 'rows'"));
       return;
     }
     if (!changed.ok()) {
-      SendError(fd, wmu, id, changed.status());
+      reply->Error(id, changed.status());
       return;
     }
-    json::Object obj;
-    obj.emplace("id", json::Value(id));
-    obj.emplace("ev", json::Value("done"));
-    obj.emplace("ok", json::Value(true));
+    json::Object obj = Done(id);
     // "added" predates delete mode; it repeats "changed" so existing
     // clients keep working.
     obj.emplace("added", json::Value(*changed));
     obj.emplace("changed", json::Value(*changed));
     obj.emplace("generation", json::Value(service_->db()->generation()));
-    SendJson(fd, wmu, std::move(obj));
-    // Push subscription deltas AFTER the mutator's ack: its thread does
-    // the fan-out, so its next request waits for the sweep, but the
-    // mutation itself is acknowledged promptly.
+    reply->Line(std::move(obj));
+    // Push subscription deltas AFTER the mutator's ack is written: its
+    // thread does the fan-out, so its next request waits for the sweep,
+    // but the mutation itself is acknowledged promptly.
+    reply->Flush();
     if (*changed > 0) NotifySubscribers();
     return;
   }
@@ -381,14 +506,13 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
     request.program = req.Get("program").as_string();
     request.query = req.Get("query").as_string();
     if (request.program.empty() || request.query.empty()) {
-      SendError(fd, wmu, id,
-                InvalidArgumentError(
-                    "'subscribe' needs 'program' and a single 'query'"));
+      reply->Error(id, InvalidArgumentError(
+                           "'subscribe' needs 'program' and a single 'query'"));
       return;
     }
     StatusOr<ExecutionLimits> limits = ParseLimits(req.Get("limits"));
     if (!limits.ok()) {
-      SendError(fd, wmu, id, limits.status());
+      reply->Error(id, limits.status());
       return;
     }
     request.limits = *limits;
@@ -397,20 +521,19 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
     StatusOr<std::vector<QueryOutcome>> outcomes =
         service_->Execute(request);
     if (!outcomes.ok()) {
-      SendError(fd, wmu, id, outcomes.status());
+      reply->Error(id, outcomes.status());
       return;
     }
     if (outcomes->size() != 1) {
-      SendError(fd, wmu, id,
-                InvalidArgumentError("'subscribe' takes exactly one query"));
+      reply->Error(id,
+                   InvalidArgumentError("'subscribe' takes exactly one query"));
       return;
     }
     const QueryOutcome& base = (*outcomes)[0];
     if (base.result.partial) {
-      SendError(fd, wmu, id,
-                ResourceExhaustedError(
-                    "subscription baseline tripped its governor budget; "
-                    "raise 'limits' or narrow the query"));
+      reply->Error(id, ResourceExhaustedError(
+                           "subscription baseline tripped its governor "
+                           "budget; raise 'limits' or narrow the query"));
       return;
     }
     Subscription sub;
@@ -423,31 +546,26 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
     {
       std::lock_guard<std::mutex> lock(subs_mu_);
       if (subs_.size() >= max_subscriptions_) {
-        SendError(fd, wmu, id,
-                  ResourceExhaustedError(StrCat(
-                      "subscription limit reached (", max_subscriptions_,
-                      ")")));
+        reply->Error(id, ResourceExhaustedError(
+                             StrCat("subscription limit reached (",
+                                    max_subscriptions_, ")")));
         return;
       }
       subs_.emplace(sid, std::move(sub));
     }
     TraceSubscription("subscribe", sid, base.query_text, 0);
-    json::Object obj;
-    obj.emplace("id", json::Value(id));
-    obj.emplace("ev", json::Value("done"));
-    obj.emplace("ok", json::Value(true));
+    json::Object obj = Done(id);
     obj.emplace("subscription", json::Value(sid));
     obj.emplace("answers", json::Value(base.tuples.size()));
     obj.emplace("generation", json::Value(base.generation));
-    SendJson(fd, wmu, std::move(obj));
+    reply->Line(std::move(obj));
     return;
   }
 
   if (op == "unsubscribe") {
     if (!req.Has("subscription")) {
-      SendError(fd, wmu, id,
-                InvalidArgumentError(
-                    "'unsubscribe' needs a 'subscription' id"));
+      reply->Error(id, InvalidArgumentError(
+                           "'unsubscribe' needs a 'subscription' id"));
       return;
     }
     const uint64_t sid =
@@ -465,12 +583,9 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
       }
     }
     if (removed) TraceSubscription("unsubscribe", sid, "", 0);
-    json::Object obj;
-    obj.emplace("id", json::Value(id));
-    obj.emplace("ev", json::Value("done"));
-    obj.emplace("ok", json::Value(true));
+    json::Object obj = Done(id);
     obj.emplace("removed", json::Value(removed));
-    SendJson(fd, wmu, std::move(obj));
+    reply->Line(std::move(obj));
     return;
   }
 
@@ -479,20 +594,19 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
     request.program = req.Get("program").as_string();
     request.query = req.Get("query").as_string();
     if (request.program.empty()) {
-      SendError(fd, wmu, id,
-                InvalidArgumentError("'query' needs a 'program'"));
+      reply->Error(id, InvalidArgumentError("'query' needs a 'program'"));
       return;
     }
     StatusOr<Strategy> strategy =
         ParseStrategyName(req.Get("strategy").as_string());
     if (!strategy.ok()) {
-      SendError(fd, wmu, id, strategy.status());
+      reply->Error(id, strategy.status());
       return;
     }
     request.strategy = *strategy;
     StatusOr<ExecutionLimits> limits = ParseLimits(req.Get("limits"));
     if (!limits.ok()) {
-      SendError(fd, wmu, id, limits.status());
+      reply->Error(id, limits.status());
       return;
     }
     request.limits = *limits;
@@ -504,7 +618,7 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
     StatusOr<std::vector<QueryOutcome>> outcomes =
         service_->Execute(request);
     if (!outcomes.ok()) {
-      SendError(fd, wmu, id, outcomes.status());
+      reply->Error(id, outcomes.status());
       return;
     }
     for (const QueryOutcome& out : *outcomes) {
@@ -513,14 +627,10 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
         obj.emplace("id", json::Value(id));
         obj.emplace("ev", json::Value("begin"));
         obj.emplace("query", json::Value(out.query_text));
-        if (!SendJson(fd, wmu, std::move(obj))) return;
+        if (!reply->Line(std::move(obj))) return;
       }
       for (const std::string& tuple : out.tuples) {
-        json::Object obj;
-        obj.emplace("id", json::Value(id));
-        obj.emplace("ev", json::Value("result"));
-        obj.emplace("tuple", json::Value(tuple));
-        if (!SendJson(fd, wmu, std::move(obj))) return;
+        if (!reply->Result(id, tuple)) return;
       }
       json::Object obj;
       obj.emplace("id", json::Value(id));
@@ -557,18 +667,13 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
         obj.emplace("notes", json::Value(std::move(notes)));
       }
       obj.emplace("seconds", json::Value(out.seconds));
-      if (!SendJson(fd, wmu, std::move(obj))) return;
+      if (!reply->Line(std::move(obj))) return;
     }
-    json::Object obj;
-    obj.emplace("id", json::Value(id));
-    obj.emplace("ev", json::Value("done"));
-    obj.emplace("ok", json::Value(true));
-    SendJson(fd, wmu, std::move(obj));
+    reply->Line(Done(id));
     return;
   }
 
-  SendError(fd, wmu, id,
-            InvalidArgumentError(StrCat("unknown op '", op, "'")));
+  reply->Error(id, InvalidArgumentError(StrCat("unknown op '", op, "'")));
 }
 
 void SocketServer::NotifySubscribers() {
@@ -592,12 +697,14 @@ void SocketServer::NotifySubscribers() {
       // Dropping beats silently delivering wrong deltas.
       drop_reason = "governor budget tripped";
     }
+    Reply push(this, sub.conn.get());
     if (!drop_reason.empty()) {
       json::Object obj;
       obj.emplace("ev", json::Value("dropped"));
       obj.emplace("subscription", json::Value(sid));
       obj.emplace("reason", json::Value(drop_reason));
-      SendJson(sub.conn->fd, sub.conn->write_mu, std::move(obj));
+      push.Line(std::move(obj));
+      push.Flush();
       TraceSubscription("drop", sid, drop_reason, 0);
       dead.push_back(sid);
       continue;
@@ -621,7 +728,8 @@ void SocketServer::NotifySubscribers() {
     obj.emplace("tuples", json::Value(std::move(fresh)));
     obj.emplace("retracted", json::Value(std::move(retracted)));
     obj.emplace("generation", json::Value(out.generation));
-    if (!SendJson(sub.conn->fd, sub.conn->write_mu, std::move(obj))) {
+    push.Line(std::move(obj));
+    if (!push.Flush()) {
       dead.push_back(sid);  // subscriber hung up; reaped below
       continue;
     }

@@ -3,7 +3,10 @@
 //
 // Wire protocol (DESIGN.md section 10): the client writes one JSON object
 // per '\n'-terminated line; the server answers each with one or more
-// '\n'-terminated JSON lines, all carrying the request's "id" back.
+// '\n'-terminated JSON lines, all carrying the request's "id" back. Every
+// line is compact json::Serialize output, keys sorted, so the bytes on the
+// wire are exactly as shown below (clients may match lines by prefix, e.g.
+// a result line by `{"ev":"result"`).
 //
 //   request:  {"op":"query","id":1,"program":"<datalog>","query":"t(1,X)",
 //              "strategy":"auto","cache":true,
@@ -11,70 +14,87 @@
 //                        "max_iterations":N}}
 //             "query" is optional — omitted, every '?- q.' in the program
 //             runs. "limits" members are each optional.
-//   response: {"id":1,"ev":"begin","query":"t(1, X)"}
-//             {"id":1,"ev":"result","tuple":"(a, b)"}         (per tuple)
-//             {"id":1,"ev":"answer","answers":2,"strategy":"separable",
-//              "plan_cache":"hit","closure_cache":"miss",
-//              "closure_stored":true,"detections":0,"generation":3,
-//              "partial":false,"reason":"...","seconds":0.0012,
-//              "notes":["..."]}          (one per query; "cause" appears
-//                                         when partial is true)
-//             {"id":1,"ev":"done","ok":true}
+//   response: {"ev":"begin","id":1,"query":"t(1, X)"}
+//             {"ev":"result","id":1,"tuple":"(a, b)"}         (per tuple)
+//             {"answers":2,"closure_cache":"miss","closure_stored":true,
+//              "detections":0,"ev":"answer","generation":3,"id":1,
+//              "notes":[{"code":"...","message":"..."}],"partial":false,
+//              "passes":"...","plan_cache":"hit","reason":"...",
+//              "seconds":0.0012,"strategy":"separable"}
+//                                        (one per query; "notes" and
+//                                         "passes" appear when non-empty,
+//                                         "cause" when partial is true)
+//             {"ev":"done","id":1,"ok":true}
 //
 //   other ops (each answered with a single "done" or "error" line):
 //     {"op":"load","id":2,"relation":"edge","path":"edge.tsv"}
 //     {"op":"load","id":3,"relation":"edge","rows":[["a","b"],["b","c"]]}
 //     {"op":"load","id":8,"relation":"edge","mode":"delete",
 //      "rows":[["a","b"]]}
-//         -> {"id":...,"ev":"done","ok":true,"added":N,"changed":N,
-//             "generation":G}
+//         -> {"added":N,"changed":N,"ev":"done","generation":G,"id":...,
+//             "ok":true}
 //         "mode" is "insert" (default) or "delete"; both modes validate
 //         the whole batch, append one typed WAL record, and apply through
 //         the service's incremental closure-maintenance path ("changed"
 //         counts the rows that actually changed the relation; "added"
-//         repeats it for protocol back-compat). A mutation that changed
-//         anything re-evaluates every subscription and pushes delta
-//         events (below) before the next request on this connection runs.
+//         repeats it for protocol back-compat). Inline "rows" is a
+//         non-empty array of rows, each a non-empty array of one length
+//         whose cells are strings or integers; a string cell is typed as
+//         a TSV column is ("42" is an integer). A cell may not hold a
+//         tab, CR or LF, and a row's first cell may not start with '#'
+//         (nor be a one-column row's empty cell): those rows have no TSV
+//         line. Anything else answers INVALID_ARGUMENT naming the row
+//         ("line R", counted from 1 as in a TSV file) and column, and
+//         applies nothing. A mutation that
+//         changed anything re-evaluates every subscription and pushes
+//         delta events (below) before the next request on this
+//         connection runs.
 //     {"op":"subscribe","id":9,"program":"<datalog>","query":"tc(a,X)",
 //      "limits":{...}}
-//         -> {"id":9,"ev":"done","ok":true,"subscription":S,"answers":N,
-//             "generation":G}
+//         -> {"answers":N,"ev":"done","generation":G,"id":9,"ok":true,
+//             "subscription":S}
 //         registers a prepared selection; N is the baseline answer size.
 //         After every effective mutation the server re-evaluates the
 //         selection (under the subscription's own limits) and pushes to
 //         the SUBSCRIBING connection:
-//             {"ev":"delta","subscription":S,"query":"tc(a, X)",
-//              "tuples":["(a, e)"],"retracted":[],"generation":G}
+//             {"ev":"delta","generation":G,"query":"tc(a, X)",
+//              "retracted":[],"subscription":S,"tuples":["(a, e)"]}
 //         (only when something changed; "tuples" are newly derived,
 //         "retracted" formerly derived). A subscription whose
 //         re-evaluation fails or trips its governor budget is dropped
-//         with {"ev":"dropped","subscription":S,"reason":"..."}.
+//         with {"ev":"dropped","reason":"...","subscription":S}.
 //     {"op":"unsubscribe","id":10,"subscription":S}
-//         -> {"id":10,"ev":"done","ok":true,"removed":true}
+//         -> {"ev":"done","id":10,"ok":true,"removed":true}
 //         only the subscribing connection can unsubscribe; closing the
 //         connection drops its subscriptions implicitly.
 //     {"op":"stats","id":4}
-//         -> {"id":4,"ev":"done","ok":true,"stats":{...}}
+//         -> {"ev":"done","id":4,"ok":true,"stats":{...}}
+//         the service's cache counters, the live subscription count, and
+//         the server's reply_writes / reply_bytes (batches written and
+//         their bytes, over the server's lifetime)
 //     {"op":"checkpoint","id":7}
-//         -> {"id":7,"ev":"done","ok":true,"snapshot":"snapshot-2.seprec",
-//             "generation":G,"wal_bytes_truncated":N}
+//         -> {"ev":"done","generation":G,"id":7,"ok":true,
+//             "snapshot":"snapshot-2.seprec","wal_bytes_truncated":N}
 //         snapshots the database and truncates the WAL; answers
 //         FAILED_PRECONDITION when the server runs without --data-dir
-//     {"op":"ping","id":5}   -> {"id":5,"ev":"done","ok":true}
-//     {"op":"shutdown","id":6} -> {"id":6,"ev":"done","ok":true}, then the
+//     {"op":"ping","id":5}   -> {"ev":"done","id":5,"ok":true}
+//     {"op":"shutdown","id":6} -> {"ev":"done","id":6,"ok":true}, then the
 //         server stops accepting and Wait() returns.
 //
-//   errors:   {"id":1,"ev":"error","code":"INVALID_ARGUMENT",
+//   errors:   {"code":"INVALID_ARGUMENT","ev":"error","id":1,
 //              "message":"..."} — the connection stays usable; malformed
 //              JSON (no id recoverable) answers with id -1. A request
 //              line longer than max_line_bytes (default 16 MiB) answers
 //              RESOURCE_EXHAUSTED and closes the connection.
 //
-// Concurrency: one accept thread plus one thread per connection. A
-// connection's response lines are serialised by its per-connection write
-// mutex: its own thread holds it for request replies, and a MUTATING
-// connection's thread takes it to push subscription delta events, so lines
-// never interleave even when a delta lands mid-query-stream. Cross-request
+// Concurrency: one accept thread plus one thread per connection. A reply
+// (every line a request produces, or one subscription push) is buffered
+// per request and written in batches of whole lines of at most 64 KiB
+// (one longer line goes alone), each under the connection's write mutex:
+// the mutex is taken once per batch, not per line. Its own thread writes
+// a connection's replies; a MUTATING connection's thread takes the same
+// mutex to push subscription delta events, so a push lands only between
+// batches — never inside a line — even mid-query-stream. Cross-request
 // consistency is the QueryService's problem (which see). Per-request
 // limits isolate budgets: a request tripping its deadline degrades only
 // its own reply, and each subscription re-evaluates under the limits its
@@ -91,6 +111,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -132,13 +153,17 @@ class SocketServer {
   void set_max_subscriptions(size_t n) { max_subscriptions_ = n; }
 
  private:
-  // One connection's write side: every response line to this fd goes
-  // through `write_mu`, so subscription pushes from other sessions'
-  // threads never interleave with this session's own replies.
+  // One connection's write side: every batch of reply lines written to
+  // this fd holds `write_mu`, so a subscription push from another
+  // session's thread lands between this session's batches, never inside
+  // one.
   struct Conn {
     int fd = -1;
     std::mutex write_mu;
   };
+  // Buffers one reply and writes it to a Conn in whole-line batches
+  // (server.cc).
+  class Reply;
   // A registered selection: re-evaluated after every effective mutation,
   // with the delivered-tuple set diffed to find news and retractions.
   struct Subscription {
@@ -151,8 +176,9 @@ class SocketServer {
 
   void AcceptLoop();
   void Session(int fd);
-  void HandleLine(const std::shared_ptr<Conn>& conn,
-                  const std::string& line);
+  // Answers one request line into `reply`; the caller flushes it.
+  void HandleLine(const std::shared_ptr<Conn>& conn, std::string_view line,
+                  Reply* reply);
   // Re-evaluates every subscription and pushes delta events for those
   // whose answer changed; drops subscriptions that error, trip their
   // budget, or whose connection is gone. Runs on the mutating session's
@@ -187,6 +213,10 @@ class SocketServer {
   std::map<uint64_t, Subscription> subs_;
   std::atomic<uint64_t> next_sub_id_{1};
   size_t max_subscriptions_ = 64;
+
+  // Reply batches written and their bytes (the `stats` op reports both).
+  std::atomic<uint64_t> reply_writes_{0};
+  std::atomic<uint64_t> reply_bytes_{0};
 
   std::mutex stop_mu_;  // serialises Stop(); never held with mu_ waits
   bool stopped_ = false;

@@ -11,17 +11,7 @@
 #include "util/string_util.h"
 
 namespace seprec {
-namespace {
 
-enum class TokenKind {
-  kInt,     // a decimal integer within the Value range
-  kSymbol,  // anything not integer-shaped
-  kBadInt,  // integer-shaped but outside the Value range
-};
-
-// Integer-shaped tokens either parse within the Value range or are
-// rejected outright — silently interning "99999999999999999999" as a
-// symbol would make the row unjoinable with every in-range integer.
 TokenKind ClassifyToken(const std::string& token, int64_t* value) {
   if (token.empty()) return TokenKind::kSymbol;
   size_t start = token[0] == '-' ? 1 : 0;
@@ -41,8 +31,6 @@ TokenKind ClassifyToken(const std::string& token, int64_t* value) {
   *value = v;
   return TokenKind::kInt;
 }
-
-}  // namespace
 
 StatusOr<TupleBatch> ParseRelationTsv(const Database& db,
                                       std::string_view name,

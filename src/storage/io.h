@@ -26,6 +26,20 @@
 
 namespace seprec {
 
+// How the TSV reader types one column.
+enum class TokenKind {
+  kInt,     // a decimal integer within the Value range
+  kSymbol,  // anything not integer-shaped
+  kBadInt,  // integer-shaped but outside the Value range
+};
+
+// Types `token` as the TSV reader types a column, storing an integer's
+// value in *value. Integer-shaped tokens either parse within the Value
+// range or are rejected outright — silently interning
+// "99999999999999999999" as a symbol would make the row unjoinable with
+// every in-range integer.
+TokenKind ClassifyToken(const std::string& token, int64_t* value);
+
 // One parsed cell with its typing decision (integer vs symbol) made at
 // parse time, so WAL replay never re-classifies text.
 struct TypedCell {

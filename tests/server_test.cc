@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -17,10 +20,12 @@
 #include <vector>
 
 #include "datalog/parser.h"
+#include "eval/trace.h"
 #include "server/json.h"
 #include "server/server.h"
 #include "server/service.h"
 #include "storage/database.h"
+#include "storage/io.h"
 #include "storage/recovery.h"
 #include "util/string_util.h"
 
@@ -553,25 +558,31 @@ class SocketClient {
     return ::recv(fd_, &c, 1, 0) == 0;
   }
 
-  // Reads one '\n'-terminated JSON line.
-  json::Value ReadLine() {
+  // Reads one '\n'-terminated line, without the '\n', as sent.
+  std::string ReadRawLine() {
     while (true) {
       auto pos = buffer_.find('\n');
       if (pos != std::string::npos) {
         std::string line = buffer_.substr(0, pos);
         buffer_.erase(0, pos + 1);
-        auto v = json::Parse(line);
-        EXPECT_TRUE(v.ok()) << line;
-        return v.ok() ? *std::move(v) : json::Value();
+        return line;
       }
       char chunk[4096];
       ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n <= 0) {
         ADD_FAILURE() << "connection closed mid-read";
-        return json::Value();
+        return "";
       }
       buffer_.append(chunk, static_cast<size_t>(n));
     }
+  }
+
+  // Reads one '\n'-terminated JSON line.
+  json::Value ReadLine() {
+    std::string line = ReadRawLine();
+    auto v = json::Parse(line);
+    EXPECT_TRUE(v.ok()) << line;
+    return v.ok() ? *std::move(v) : json::Value();
   }
 
   // Reads until a "done" or "error" event, returning every line.
@@ -692,6 +703,76 @@ TEST_F(SocketServerTest, MalformedMiddleRowFailsLoadWithoutPartialApply) {
   // did not move.
   EXPECT_EQ(db_.Find("m"), nullptr);
   EXPECT_EQ(db_.generation(), 0u);
+}
+
+TEST(SocketServerDurability, InlineRowsATsvLineCannotCarryApplyNothing) {
+  const std::string dir =
+      StrCat(::testing::TempDir(), "/seprec_srv_rows_",
+             static_cast<unsigned long>(::getpid()));
+  std::filesystem::remove_all(dir);
+  const std::string socket_path = dir + ".sock";
+  {
+    Database db;
+    DurabilityOptions durability;
+    durability.fsync = FsyncPolicy::kOff;
+    auto storage = DurableStorage::Open(dir, &db, durability, nullptr);
+    ASSERT_TRUE(storage.ok()) << storage.status().ToString();
+    ServiceOptions options;
+    options.storage = storage->get();
+    QueryService service(&db, options);
+    SocketServer server(&service);
+    ASSERT_TRUE(server.Start(socket_path).ok());
+    SocketClient client(socket_path);
+    ASSERT_TRUE(client.connected());
+
+    // String cells are typed as TSV columns are: "42" is the integer 42.
+    client.Send(
+        R"({"op":"load","id":1,"relation":"p","rows":[["42",7],["a","b"]]})");
+    ASSERT_TRUE(client.ReadLine().Get("ok").as_bool());
+    const Value int_row[] = {Value::Int(42), Value::Int(7)};
+    EXPECT_TRUE(db.Find("p")->Contains(Row(int_row, 2)));
+    const uint64_t generation = db.generation();
+    const uint64_t wal_bytes = (*storage)->wal_bytes();
+
+    // Rows no TSV line can carry, and cells of other types. Spliced into
+    // TSV text, each would have been altered, split or dropped.
+    struct Case {
+      const char* rows;
+      const char* where;  // the row and column the error must name
+    };
+    const Case cases[] = {
+        {R"([["x\ty"]])", "line 1, column 1"},       // TSV reads (x, y)
+        {R"([["p","q\nr\ts"]])", "line 1, column 2"},  // (p, q) and (r, s)
+        {R"([["#c","d"]])", "line 1, column 1"},     // a TSV comment
+        {R"([[null,true]])", "line 1, column 1"},    // not a string or int
+        {R"([[1.9,"z"]])", "line 1, column 1"},      // not an integer
+        {R"(["oops"])", "line 1:"},                  // not an array
+        {R"([[]])", "line 1:"},
+        {R"([[""]])", "line 1, column 1"},  // an empty TSV line
+        {R"([["a","b"],["c",2.5]])", "line 2, column 2"},
+        {R"([["99999999999999999999","x"]])", "line 1, column 1"},
+        {R"([[2305843009213693952,"x"]])", "line 1, column 1"},
+        {R"([])", "'rows' is empty"},
+    };
+    int64_t id = 2;
+    for (const Case& c : cases) {
+      client.Send(StrCat(R"({"op":"load","id":)", id++,
+                         R"(,"relation":"p","rows":)", c.rows, "}"));
+      json::Value error = client.ReadLine();
+      EXPECT_EQ(error.Get("ev").as_string(), "error") << c.rows;
+      EXPECT_EQ(error.Get("code").as_string(), "INVALID_ARGUMENT") << c.rows;
+      EXPECT_NE(error.Get("message").as_string().find(c.where),
+                std::string::npos)
+          << c.rows << ": " << error.Get("message").as_string();
+      // Nothing applied: no row, no generation bump, no WAL record.
+      EXPECT_EQ(db.Find("p")->size(), 2u) << c.rows;
+      EXPECT_EQ(db.generation(), generation) << c.rows;
+      EXPECT_EQ((*storage)->wal_bytes(), wal_bytes) << c.rows;
+    }
+    server.Stop();
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(socket_path);
 }
 
 TEST_F(SocketServerTest, DeleteModeRemovesRowsAndReportsChanged) {
@@ -975,6 +1056,223 @@ TEST(SocketServerLimits, OverlongLineAnswersErrorAndDisconnects) {
   ok_client.Send(R"({"op":"ping","id":1})");
   EXPECT_TRUE(ok_client.ReadLine().Get("ok").as_bool());
   server.Stop();
+}
+
+// Loads `n` rows (a, node_00000) ... (a, node_<n-1>) into `relation`
+// through the service, so no socket reply precedes the test's own.
+void LoadFanOut(QueryService* service, const std::string& relation,
+                int n) {
+  TupleBatch batch;
+  batch.relation = relation;
+  batch.arity = 2;
+  char name[32];
+  for (int i = 0; i < n; ++i) {
+    std::snprintf(name, sizeof(name), "node_%05d", i);
+    batch.rows.push_back({TypedCell::Symbol("a"), TypedCell::Symbol(name)});
+  }
+  ASSERT_TRUE(service->Apply(batch).ok());
+}
+
+std::string QueryLine(int64_t id, const std::string& program,
+                      const std::string& query) {
+  json::Object req;
+  req["op"] = json::Value("query");
+  req["id"] = json::Value(id);
+  req["program"] = json::Value(program);
+  req["query"] = json::Value(query);
+  return json::Serialize(json::Value(req));
+}
+
+constexpr const char* kFanOutProgram = "r(X, Y) :- big(X, Y).\n";
+
+TEST_F(SocketServerTest, LargeReplyArrivesWholeInFewBatches) {
+  LoadFanOut(service_.get(), "big", 5000);
+  ServiceRequest request;
+  request.program = kFanOutProgram;
+  request.query = "r(a, Y)";
+  auto expected = service_->Execute(request);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ((*expected)[0].tuples.size(), 5000u);
+
+  SocketClient client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  client.Send(QueryLine(1, kFanOutProgram, "r(a, Y)"));
+  std::vector<std::string> tuples;
+  int64_t answers = -1;
+  while (true) {
+    json::Value line = client.ReadLine();  // fails the test unless it parses
+    const std::string& ev = line.Get("ev").as_string();
+    if (ev == "result") tuples.push_back(line.Get("tuple").as_string());
+    if (ev == "answer") answers = line.Get("answers").as_int();
+    if (ev == "done" || ev == "error" || ev.empty()) {
+      EXPECT_EQ(ev, "done");
+      break;
+    }
+  }
+  EXPECT_EQ(tuples, (*expected)[0].tuples);
+  EXPECT_EQ(answers, 5000);
+
+  // Count guard: the reply went out in whole 64 KiB batches, not one
+  // write per line. Only the query's reply precedes this stats request.
+  client.Send(R"({"op":"stats","id":2})");
+  json::Value stats = client.ReadLine().Get("stats");
+  const int64_t writes = stats.Get("reply_writes").as_int();
+  const int64_t bytes = stats.Get("reply_bytes").as_int();
+  constexpr int64_t kBatch = 64 << 10;
+  EXPECT_GT(bytes, 200 << 10);
+  EXPECT_GE(writes, (bytes + kBatch - 1) / kBatch);
+  EXPECT_LE(writes, (bytes + kBatch - 1) / kBatch + 1);
+}
+
+TEST_F(SocketServerTest, ResultLinesAreByteIdenticalToSerialize) {
+  // Symbols holding every byte class JSON escapes differently.
+  TupleBatch batch;
+  batch.relation = "odd";
+  batch.arity = 2;
+  for (const char* y : {"q\"uote", "back\\slash", "tab\there", "nl\nx",
+                        "ctl\x01\x1f", "utf8 \xc3\xa9 \xf0\x9f\x98\x80"}) {
+    batch.rows.push_back({TypedCell::Symbol("k"), TypedCell::Symbol(y)});
+  }
+  ASSERT_TRUE(service_->Apply(batch).ok());
+  ServiceRequest request;
+  request.program = "r(X, Y) :- odd(X, Y).\n";
+  request.query = "r(k, Y)";
+  auto expected = service_->Execute(request);
+  ASSERT_TRUE(expected.ok());
+  const std::vector<std::string>& tuples = (*expected)[0].tuples;
+  ASSERT_EQ(tuples.size(), batch.rows.size());
+
+  SocketClient client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  for (int64_t id : {int64_t{-1}, int64_t{0}, (int64_t{1} << 32) + 7}) {
+    client.Send(QueryLine(id, request.program, request.query));
+    EXPECT_EQ(client.ReadLine().Get("ev").as_string(), "begin");
+    // Each line arrived '\n'-terminated; its bytes before the '\n' must be
+    // exactly Serialize's.
+    for (const std::string& tuple : tuples) {
+      json::Object want;
+      want["ev"] = json::Value("result");
+      want["id"] = json::Value(id);
+      want["tuple"] = json::Value(tuple);
+      EXPECT_EQ(client.ReadRawLine(), json::Serialize(json::Value(want)))
+          << "id " << id;
+    }
+    EXPECT_EQ(client.ReadLine().Get("ev").as_string(), "answer");
+    EXPECT_EQ(client.ReadLine().Get("ev").as_string(), "done");
+  }
+}
+
+TEST(SocketServerReply, ClientClosingMidReplyLeavesServerAlive) {
+  Database db;
+  CollectingTraceSink sink;
+  ServiceOptions options;
+  options.trace = &sink;
+  QueryService service(&db, options);
+  SocketServer server(&service);
+  const std::string path =
+      StrCat(::testing::TempDir(), "/seprec_hangup_",
+             static_cast<unsigned long>(::getpid()), ".s");
+  ASSERT_TRUE(server.Start(path).ok());
+  // ~1 MB of reply: more than the socket buffers hold, so the server is
+  // still writing when the client goes away.
+  LoadFanOut(&service, "big", 20000);
+  auto closed_sessions = [&] {
+    size_t n = 0;
+    for (const TraceEvent& ev : sink.Events()) {
+      n += ev.kind == TraceEventKind::kSession && ev.cause == "close";
+    }
+    return n;
+  };
+  {
+    SocketClient client(path);
+    ASSERT_TRUE(client.connected());
+    client.Send(QueryLine(1, kFanOutProgram, "r(a, Y)"));
+    EXPECT_EQ(client.ReadLine().Get("ev").as_string(), "begin");
+  }  // hangs up mid-reply; a SIGPIPE would end this test binary here
+  for (int i = 0; i < 1000 && closed_sessions() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(closed_sessions(), 1u);  // that session exited
+  SocketClient other(path);
+  ASSERT_TRUE(other.connected());
+  other.Send(R"({"op":"ping","id":2})");
+  EXPECT_TRUE(other.ReadLine().Get("ok").as_bool());
+  server.Stop();
+}
+
+TEST_F(SocketServerTest, PushDuringLargeReplyLandsBetweenLines) {
+  LoadFanOut(service_.get(), "big", 20000);
+  std::istringstream seed("a\tb\n");
+  ASSERT_TRUE(service_->LoadTsv("e2", seed).ok());
+  ServiceRequest request;
+  request.program = kFanOutProgram;
+  request.query = "r(a, Y)";
+  auto expected = service_->Execute(request);
+  ASSERT_TRUE(expected.ok());
+
+  SocketClient reader(socket_path_);
+  SocketClient loader(socket_path_);
+  ASSERT_TRUE(reader.connected());
+  ASSERT_TRUE(loader.connected());
+  json::Object subscribe;
+  subscribe["op"] = json::Value("subscribe");
+  subscribe["id"] = json::Value(int64_t{1});
+  subscribe["program"] = json::Value("s(X, Y) :- e2(X, Y).\n");
+  subscribe["query"] = json::Value("s(a, Y)");
+  reader.Send(json::Serialize(json::Value(subscribe)));
+  ASSERT_TRUE(reader.ReadLine().Get("ok").as_bool());
+
+  // The reader stops after the first line of a ~1 MB reply, so the
+  // server is blocked mid-reply when the loader's mutation pushes a delta
+  // to the same connection; the pause lets the push queue behind it.
+  reader.Send(QueryLine(2, kFanOutProgram, "r(a, Y)"));
+  EXPECT_EQ(reader.ReadLine().Get("ev").as_string(), "begin");
+  loader.Send(R"({"op":"load","id":3,"relation":"e2","rows":[["a","z"]]})");
+  EXPECT_TRUE(loader.ReadLine().Get("ok").as_bool());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  std::vector<std::string> tuples;
+  std::vector<std::string> delta;
+  bool done = false;
+  while (!done || delta.empty()) {
+    json::Value line = reader.ReadLine();  // fails the test unless it parses
+    const std::string& ev = line.Get("ev").as_string();
+    if (ev == "result") tuples.push_back(line.Get("tuple").as_string());
+    if (ev == "delta") {
+      for (const json::Value& t : line.Get("tuples").as_array()) {
+        delta.push_back(t.as_string());
+      }
+    }
+    if (ev == "done") done = true;
+    if (ev == "error" || ev.empty()) break;
+  }
+  EXPECT_EQ(tuples, (*expected)[0].tuples);
+  EXPECT_EQ(delta, (std::vector<std::string>{"(a, z)"}));
+}
+
+TEST_F(SocketServerTest, SplitAndCoalescedRequestLinesParseAsBefore) {
+  SocketClient client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  // A 100 KiB request line spans many 4 KiB recv() calls; its tail then
+  // shares one send with an empty line, a malformed line, two complete
+  // requests and the head of a fourth.
+  const std::string long_line =
+      StrCat(R"({"op":"ping","id":1,"pad":")", std::string(100 << 10, 'x'),
+             "\"}\n");
+  const size_t head = long_line.size() - 10;
+  for (size_t off = 0; off < head; off += 1000) {
+    client.SendRaw(long_line.substr(off, std::min<size_t>(1000, head - off)));
+  }
+  client.SendRaw(StrCat(long_line.substr(head), R"({"op":"ping","id":2})",
+                        "\n\nnot json\n", R"({"op":"ping","id":3})", "\n",
+                        R"({"op":"pi)"));
+  client.SendRaw(R"(ng","id":4})"
+                 "\n");
+  for (int64_t id : {1, 2, -1, 3, 4}) {
+    json::Value line = client.ReadLine();
+    EXPECT_EQ(line.Get("id").as_int(), id);
+    EXPECT_EQ(line.Get("ev").as_string(), id < 0 ? "error" : "done");
+  }
 }
 
 TEST_F(SocketServerTest, ShutdownOpStopsTheServer) {
