@@ -6,7 +6,7 @@
 //                mmap-backed and ordered: the planner picks the merge
 //                join (checked), which streams both segments once,
 //                buffering each right-side key group sequentially
-//   hash_join    the same rule under --no-segments (allow_merge off):
+//   hash_join    the same rule with PlanOptions::allow_merge off:
 //                scan r, build s's hash index, probe per binding —
 //                paying the index build plus bucket chasing on the
 //                duplicate keys

@@ -423,12 +423,10 @@ StatusOr<QueryProcessor::PipelinePrep> QueryProcessor::RunPipeline(
   prep.report.derecursed = pipeline.derecursed;
 
   if (pipeline.rewritten) {
-    // The rewritten program executes from its own processor; the pipeline
-    // is disabled there so rewrites never recurse.
-    ProcessorOptions inner_options = options_;
-    inner_options.enable_pass_pipeline = false;
+    // The rewritten program executes from its own processor. Nothing
+    // prepares that processor, so the pipeline never runs on a rewrite.
     StatusOr<QueryProcessor> inner =
-        Create(std::move(pipeline.program), inner_options);
+        Create(std::move(pipeline.program), options_);
     if (inner.ok()) {
       prep.optimized =
           std::make_shared<const QueryProcessor>(std::move(inner).value());
@@ -489,8 +487,7 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
   prepared.qp_ = this;
   prepared.predicate_ = query.predicate;
   prepared.bound_ = BoundPositions(query);
-  if (strategy == Strategy::kAuto && run_pipeline &&
-      options_.enable_pass_pipeline) {
+  if (strategy == Strategy::kAuto && run_pipeline) {
     SEPREC_ASSIGN_OR_RETURN(PipelinePrep prep, RunPipeline(query));
     prepared.owned_qp_ = std::move(prep.optimized);
     if (prepared.owned_qp_ != nullptr) {

@@ -74,12 +74,6 @@ struct ProcessorOptions {
   // condition-4 relaxation (correct but unfocused evaluation).
   SeparabilityOptions separability;
 
-  // Run the static pass pipeline (src/opt) in Prepare for kAuto queries.
-  // The ablation flag: with false, Prepare decides exactly as it did
-  // before the pipeline existed — answers are bit-identical either way,
-  // only the plan (and its cost) may differ.
-  bool enable_pass_pipeline = true;
-
   // Largest recursion bound the boundedness pass tries to prove.
   size_t pass_max_bound = 3;
 };
@@ -94,7 +88,7 @@ struct ProcessorOptions {
 // can show what the engines will execute without recompiling.
 struct PlanNote {
   std::string rule;   // rule.ToString()
-  std::string order;  // "0,2,1" body indices; "" when greedy decides later
+  std::string order;  // "0,2,1": body indices of the positive atoms
   std::string mode;   // "cbo" | "cbo-fallback" | "textual"
   std::string algo;   // "merge" (leading pair merge-joins) | "hash"
   std::string stats;  // per-relation statistics source, e.g.
@@ -171,13 +165,12 @@ class QueryProcessor {
   // `policy` fixes the parallel-partition count baked into the compiled
   // plans; the processor must outlive the returned PreparedQuery.
   //
-  // With `run_pipeline` true (and options.enable_pass_pipeline set, and
-  // kAuto strategy) Prepare first runs the static pass pipeline: the
-  // decision is then made on the rewritten program, the PreparedQuery
-  // carries the PassReport, and a rewrite (e.g. a de-recursed bounded
-  // recursion) is executed from an internally owned processor for the
-  // rewritten program. `run_pipeline` false is the per-request ablation
-  // knob the query service exposes.
+  // With `run_pipeline` true and kAuto strategy, Prepare first runs the
+  // static pass pipeline (src/opt): the decision is then made on the
+  // rewritten program, the PreparedQuery carries the PassReport, and a
+  // rewrite (e.g. a de-recursed bounded recursion) is executed from an
+  // internally owned processor for the rewritten program. `run_pipeline`
+  // false is the per-request ablation knob the query service exposes.
   StatusOr<PreparedQuery> Prepare(const Atom& query, Database* db,
                                   Strategy strategy = Strategy::kAuto,
                                   const ParallelPolicy& policy = {},

@@ -182,7 +182,6 @@ class FixpointEngine {
       PlanOptions base_opts;
       base_opts.disable_indexes = options_.disable_indexes;
       base_opts.join_order = join_order();
-      base_opts.allow_merge = !options_.no_segments;
       if (rule->aggregate.has_value()) {
         // Aggregate rules run once per stratum (stratification guarantees
         // their bodies are complete); the plan collects (group, value)
@@ -209,7 +208,6 @@ class FixpointEngine {
         PlanOptions opts;
         opts.disable_indexes = options_.disable_indexes;
         opts.join_order = join_order();
-        opts.allow_merge = !options_.no_segments;
         opts.relation_overrides[i] =
             StrCat(kDeltaPrefix, lit.atom.predicate);
         SEPREC_ASSIGN_OR_RETURN(RulePlan delta,
@@ -222,7 +220,6 @@ class FixpointEngine {
           PlanOptions part_opts;
           part_opts.disable_indexes = options_.disable_indexes;
           part_opts.join_order = join_order();
-          part_opts.allow_merge = !options_.no_segments;
           part_opts.relation_overrides[i] = PartName(k, lit.atom.predicate);
           SEPREC_ASSIGN_OR_RETURN(RulePlan part,
                                   RulePlan::Compile(*rule, db_, part_opts));
@@ -240,7 +237,7 @@ class FixpointEngine {
                            : JoinOrderMode::kCostBased;
   }
 
-  // Emits a schema-v3 `plan` trace event for a freshly compiled rule plan
+  // Emits a `plan` trace event for a freshly compiled rule plan
   // (base and delta variants; partition variants share the delta's order).
   void TracePlan(const RulePlan& plan, const std::string& phase) {
     if (trace_ == nullptr) return;

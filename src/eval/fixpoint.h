@@ -50,11 +50,6 @@ struct FixpointOptions {
   // --no-cbo CLI flag.
   bool no_cbo = false;
 
-  // Ablation: never compile merge joins over ordered (segment-backed)
-  // relations; every join runs the pure hash pipeline. See
-  // PlanOptions::allow_merge and the --no-segments CLI flag.
-  bool no_segments = false;
-
   // Optional event sink (see eval/trace.h). Engines copy options when
   // delegating to sub-evaluations, so one sink observes the whole query.
   // Null (the default) disables tracing; the enabled path adds per-round

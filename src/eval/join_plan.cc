@@ -87,9 +87,8 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
     relations[i] = rel;
   }
 
-  // Ask the planner for an atom order. An empty order (greedy mode, or a
-  // DP fallback on very wide bodies) leaves the pick to the legacy
-  // heuristic below; a non-empty one is consumed front to back.
+  // The planner orders every positive atom; the scan steps below consume
+  // its order front to back.
   plan.plan_info_ = PlanJoinOrder(rule, relations, db == nullptr
                                       ? nullptr
                                       : &db->stats(),
@@ -97,8 +96,8 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
                                   !options.disable_indexes,
                                   options.allow_merge &&
                                       !options.disable_indexes);
-  const std::vector<size_t>& forced_order = plan.plan_info_.atom_order;
-  size_t forced_cursor = 0;
+  const std::vector<size_t>& atom_order = plan.plan_info_.atom_order;
+  size_t next_atom = 0;
 
   std::vector<bool> scheduled(rule.body.size(), false);
   size_t num_scheduled = 0;
@@ -187,16 +186,16 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
 
   // Re-verifies the planner's merge-join nomination against the actual
   // rule shape and, on success, emits one kMergeJoin step consuming the
-  // first two atoms of the forced order. The planner only nominates pairs
+  // first two atoms of the planned order. The planner only nominates pairs
   // of ordered atoms whose arguments are all distinct variables, none
   // bound before the first scan, joined exactly on a shared leading
   // prefix; this re-checks every one of those properties so a stale or
   // inconsistent verdict degrades to the hash pipeline instead of
   // compiling a wrong plan.
   auto emit_merge_join = [&]() -> bool {
-    if (forced_order.size() < 2) return false;
-    size_t a = forced_order[0];
-    size_t b = forced_order[1];
+    if (atom_order.size() < 2) return false;
+    size_t a = atom_order[0];
+    size_t b = atom_order[1];
     size_t k = plan.plan_info_.merge_prefix;
     if (a == b || a >= rule.body.size() || b >= rule.body.size()) {
       return false;
@@ -284,57 +283,33 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
     if (num_scheduled == rule.body.size()) break;
 
     // 2a) Leading merge join: when the DP chose one, it joins the first
-    //     two atoms of the forced order before anything else binds their
+    //     two atoms of the planned order before anything else binds their
     //     variables. Verification failure falls back to hash scans.
-    if (forced_cursor == 0 && plan.plan_info_.algo == "merge") {
+    if (next_atom == 0 && plan.plan_info_.algo == "merge") {
       if (emit_merge_join()) {
-        scheduled[forced_order[0]] = true;
-        scheduled[forced_order[1]] = true;
+        scheduled[atom_order[0]] = true;
+        scheduled[atom_order[1]] = true;
         num_scheduled += 2;
-        forced_cursor = 2;
+        next_atom = 2;
         continue;
       }
       plan.plan_info_.algo = "hash";
       plan.plan_info_.merge_prefix = 0;
     }
 
-    // 2) Next relational literal: the planner's choice when one is
-    //    queued, otherwise the greedy pick (most bound argument
-    //    positions; tie-break on smaller relation, then source order).
-    ptrdiff_t best = -1;
-    if (forced_cursor < forced_order.size()) {
-      best = static_cast<ptrdiff_t>(forced_order[forced_cursor]);
-      ++forced_cursor;
-    } else {
-      size_t best_bound = 0;
-      size_t best_size = 0;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (scheduled[i] || !rule.body[i].IsPositiveAtom()) continue;
-        const Atom& atom = rule.body[i].atom;
-        size_t bound_positions = 0;
-        for (const Term& arg : atom.args) {
-          if (is_bound(arg)) ++bound_positions;
-        }
-        size_t size = relations[i]->size();
-        if (best < 0 || bound_positions > best_bound ||
-            (bound_positions == best_bound && size < best_size)) {
-          best = static_cast<ptrdiff_t>(i);
-          best_bound = bound_positions;
-          best_size = size;
-        }
-      }
-    }
-    if (best < 0) {
+    // 2) Next relational literal, in the planner's order.
+    if (next_atom == atom_order.size()) {
       // Only built-ins remain and none is ready: the rule is unsafe.
       return InvalidArgumentError(
           StrCat("cannot order body of rule: ", rule.ToString()));
     }
+    const size_t atom_index = atom_order[next_atom++];
 
-    const Atom& atom = rule.body[best].atom;
+    const Atom& atom = rule.body[atom_index].atom;
     Step step;
     step.kind = Step::Kind::kScan;
-    step.relation = relations[best];
-    step.display_name = relations[best]->name();
+    step.relation = relations[atom_index];
+    step.display_name = relations[atom_index]->name();
     step.slot_comment = atom.ToString();
     std::map<std::string, uint32_t> bound_in_this_atom;
     for (size_t c = 0; c < atom.args.size(); ++c) {
@@ -379,9 +354,9 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
       }
       step.actions.push_back(action);
     }
-    plan.scanned_.push_back(relations[best]);
+    plan.scanned_.push_back(relations[atom_index]);
     plan.steps_.push_back(std::move(step));
-    scheduled[best] = true;
+    scheduled[atom_index] = true;
     ++num_scheduled;
   }
 

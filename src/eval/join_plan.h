@@ -1,10 +1,8 @@
 // RulePlan: a Datalog rule compiled into an index-join pipeline.
 //
-// Compilation orders the positive body atoms with the cost-based DP
-// planner (plan/planner.h) by default, falling back to the legacy greedy
-// heuristic (most-bound relational literal first) for bodies the DP
-// declines; built-ins schedule as soon as their inputs are available
-// either way. Constants are resolved against the database symbol table
+// Compilation scans the positive body atoms in the order the planner
+// (plan/planner.h) chooses; built-ins schedule as soon as their inputs are
+// available. Constants are resolved against the database symbol table
 // and each relational literal binds to a concrete Relation. Execution
 // enumerates all satisfying bindings with nested index lookups and emits
 // head tuples.
@@ -42,8 +40,8 @@ struct PlanOptions {
   JoinOrderMode join_order = JoinOrderMode::kCostBased;
 
   // Let the planner choose a merge join over ordered (segment-backed)
-  // relations; false is the --no-segments ablation, which forces the
-  // pure hash pipeline.
+  // relations; false forces the pure hash pipeline (the merge-vs-hash
+  // comparison in bench/micro_segment.cc and segment_test).
   bool allow_merge = true;
 };
 
@@ -113,7 +111,7 @@ class RulePlan {
 
   // The planner's verdict for this body: chosen atom order, estimated
   // cost/cardinality, and which mode produced it ("cbo", "cbo-fallback",
-  // "greedy", "textual").
+  // "textual").
   const PlannedBody& plan_info() const { return plan_info_; }
 
   // Human-readable step listing for EXPLAIN output and tests.

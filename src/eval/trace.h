@@ -10,8 +10,9 @@
 // with tracing off.
 //
 // Event schema (one JSON object per line from JsonTraceSink; all events
-// carry "v" (schema version), "seq" (global order), "t" (seconds since the
-// sink was created) and "ev"):
+// carry "v" (JsonTraceSink::kSchemaVersion), "seq" (global order), "t"
+// (seconds since the sink was created) and "ev"; tools/validate_trace.py
+// checks a file against this table):
 //
 //   engine_start   engine
 //   engine_finish  engine, seconds, iterations, tuples, polls,
@@ -27,21 +28,20 @@
 //   session        cause ("open"/"close"/"request"), detail
 //   pass           pass (pipeline pass name, or "strategy" for the final
 //                  selection), verdict ("proved"/"rewritten"/"abstained",
-//                  or the strategy name), detail — schema v2+
+//                  or the strategy name), detail
 //   plan           engine, phase, rule, mode ("cbo"/"cbo-fallback"/
-//                  "greedy"/"textual"), order (comma-joined body indices
-//                  of the positive atoms in scan order), cost (estimated
-//                  row visits), est_rows (estimated output bindings) —
-//                  schema v3+; algo ("merge" when the leading atom pair
-//                  merge-joins on ordered segments, else "hash") —
-//                  schema v5+
+//                  "textual"), algo ("merge" when the leading atom pair
+//                  merge-joins on ordered segments, else "hash"), order
+//                  (comma-joined body indices of the positive atoms in
+//                  scan order), cost (estimated row visits), est_rows
+//                  (estimated output bindings)
 //   delta          phase ("insert"/"delete"), detail (relation), delta
 //                  (rows that actually changed the relation), inserted
 //                  (cached closures patched in place), emitted (cached
-//                  closures invalidated), seconds — schema v4+
+//                  closures invalidated), seconds
 //   subscription   cause ("subscribe"/"unsubscribe"/"notify"/"drop"),
 //                  detail (subscription id and query), delta (tuples
-//                  delivered by a notify) — schema v4+
+//                  delivered by a notify)
 //   note           detail
 //
 // Semantics: `emitted` counts head tuples produced by rule bodies,
@@ -132,12 +132,8 @@ class JsonTraceSink : public TraceSink {
   explicit JsonTraceSink(std::ostream* out) : out_(out) {}
   void Emit(const TraceEvent& event) override;
 
-  // v2 added the "pass" event (static-analysis pipeline verdicts); v3
-  // added the "plan" event (cost-based planner verdicts); v4 added the
-  // "delta" and "subscription" events (incremental maintenance and the
-  // server's streaming subscriptions); v5 adds the "algo" field to
-  // "plan" events (merge-join vs hash-join choice). Every earlier event
-  // serialises identically under v5.
+  // The "v" every line carries; the only version tools/validate_trace.py
+  // accepts.
   static constexpr int kSchemaVersion = 5;
 
  private:

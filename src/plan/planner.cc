@@ -1,6 +1,7 @@
 #include "plan/planner.h"
 
 #include <algorithm>
+#include <bitset>
 #include <map>
 #include <set>
 
@@ -10,7 +11,11 @@
 namespace seprec {
 namespace {
 
-using VarMask = uint64_t;
+// Variable sets are bitmasks over per-body variable ids. Ids past
+// kMaxVars are not tracked: those variables never count as bound, which
+// only makes estimates pessimistic.
+constexpr size_t kMaxVars = 256;
+using VarMask = std::bitset<kMaxVars>;
 
 // The body reduced to what the cost model needs: positive atoms with their
 // statistics and variable sets, plus, for each built-in, which variables
@@ -21,24 +26,22 @@ struct BodyModel {
   std::vector<VarMask> atom_vars;         // parallel to atoms
   std::vector<RelationStats> atom_stats;  // parallel to atoms
   struct Builtin {
-    VarMask inputs = 0;
-    VarMask binds = 0;
+    VarMask inputs;
+    VarMask binds;
   };
   std::vector<Builtin> builtins;
   std::map<std::string, size_t> var_ids;
-  bool ok = true;  // false: too many variables for the mask width
 };
 
-size_t VarId(BodyModel* model, const std::string& name) {
-  auto [it, inserted] = model->var_ids.emplace(name, model->var_ids.size());
-  if (it->second >= 64) model->ok = false;
-  return it->second;
+VarMask VarBit(BodyModel* model, const std::string& name) {
+  size_t id = model->var_ids.emplace(name, model->var_ids.size()).first->second;
+  VarMask mask;
+  if (id < kMaxVars) mask.set(id);
+  return mask;
 }
 
 VarMask TermVars(BodyModel* model, const Term& t) {
-  if (!t.IsVar()) return 0;
-  size_t id = VarId(model, t.name);
-  return model->ok ? (VarMask{1} << id) : 0;
+  return t.IsVar() ? VarBit(model, t.name) : VarMask{};
 }
 
 BodyModel BuildModel(const Rule& rule,
@@ -48,17 +51,19 @@ BodyModel BuildModel(const Rule& rule,
   for (size_t i = 0; i < rule.body.size(); ++i) {
     const Literal& lit = rule.body[i];
     if (lit.IsPositiveAtom()) {
-      VarMask vars = 0;
+      VarMask vars;
       for (const Term& arg : lit.atom.args) vars |= TermVars(&model, arg);
-      const Relation* rel = relations[i];
-      if (rel == nullptr) {
-        model.ok = false;
-        continue;
+      // A relation that does not exist yet is costed as the empty
+      // relation RulePlan::Compile will create for it.
+      RelationStats rel_stats;
+      rel_stats.distinct.assign(lit.atom.arity(), 0);
+      if (const Relation* rel = relations[i]; rel != nullptr) {
+        rel_stats = stats != nullptr ? stats->Get(*rel)
+                                     : ComputeRelationStats(*rel);
       }
       model.atoms.push_back(i);
       model.atom_vars.push_back(vars);
-      model.atom_stats.push_back(stats != nullptr ? stats->Get(*rel)
-                                                  : ComputeRelationStats(*rel));
+      model.atom_stats.push_back(std::move(rel_stats));
       continue;
     }
     if (lit.kind == Literal::Kind::kCompare) {
@@ -67,8 +72,8 @@ BodyModel BuildModel(const Rule& rule,
       if (lit.cmp_op == CmpOp::kEq) {
         // X = Y binds whichever side is still free once the other is
         // bound; a constant side makes the variable free immediately.
-        if (rhs != 0) model.builtins.push_back({lhs, rhs});
-        if (lhs != 0) model.builtins.push_back({rhs, lhs});
+        if (rhs.any()) model.builtins.push_back({lhs, rhs});
+        if (lhs.any()) model.builtins.push_back({rhs, lhs});
       }
       continue;
     }
@@ -76,12 +81,8 @@ BodyModel BuildModel(const Rule& rule,
       std::set<std::string> inputs;
       CollectVars(lit.expr, &inputs);
       BodyModel::Builtin b;
-      for (const std::string& v : inputs) {
-        size_t id = VarId(&model, v);
-        if (model.ok) b.inputs |= VarMask{1} << id;
-      }
-      size_t target = VarId(&model, lit.assign_var);
-      if (model.ok) b.binds = VarMask{1} << target;
+      for (const std::string& v : inputs) b.inputs |= VarBit(&model, v);
+      b.binds = VarBit(&model, lit.assign_var);
       model.builtins.push_back(b);
       continue;
     }
@@ -100,8 +101,8 @@ VarMask Close(const BodyModel& model, VarMask bound) {
   while (changed) {
     changed = false;
     for (const BodyModel::Builtin& b : model.builtins) {
-      if ((b.inputs & ~bound) != 0) continue;
-      if ((b.binds & ~bound) == 0) continue;
+      if ((b.inputs & ~bound).any()) continue;
+      if ((b.binds & ~bound).none()) continue;
       bound |= b.binds;
       changed = true;
     }
@@ -124,8 +125,8 @@ std::vector<uint32_t> BoundCols(const BodyModel& model, const Rule& rule,
       continue;
     }
     auto it = model.var_ids.find(arg.name);
-    if (it != model.var_ids.end() && it->second < 64 &&
-        (bound & (VarMask{1} << it->second)) != 0) {
+    if (it != model.var_ids.end() && it->second < kMaxVars &&
+        bound.test(it->second)) {
       cols.push_back(static_cast<uint32_t>(c));
     }
   }
@@ -137,7 +138,7 @@ std::vector<uint32_t> BoundCols(const BodyModel& model, const Rule& rule,
 void WalkOrder(const BodyModel& model, const Rule& rule,
                const std::vector<size_t>& order, bool indexed, double* cost,
                double* card) {
-  VarMask bound = Close(model, 0);
+  VarMask bound = Close(model, {});
   *cost = 0.0;
   *card = 1.0;
   for (size_t pos : order) {
@@ -147,6 +148,40 @@ void WalkOrder(const BodyModel& model, const Rule& rule,
     *card *= CostModel::EstimateMatches(stats, cols);
     bound = Close(model, bound | model.atom_vars[pos]);
   }
+}
+
+// The order for bodies past the DP table: each step scans the atom with
+// the lowest ScanCost given the variables bound so far (the incoming
+// cardinality scales every candidate alike, so it is left out); ties go
+// to source order.
+PlannedBody RunGreedy(const BodyModel& model, const Rule& rule,
+                      bool indexed) {
+  const size_t n = model.atoms.size();
+  std::vector<size_t> order;
+  std::vector<bool> placed(n, false);
+  VarMask bound = Close(model, {});
+  while (order.size() < n) {
+    size_t best = n;
+    double best_cost = 0.0;
+    for (size_t pos = 0; pos < n; ++pos) {
+      if (placed[pos]) continue;
+      double cost = CostModel::ScanCost(model.atom_stats[pos],
+                                        BoundCols(model, rule, pos, bound),
+                                        1.0, indexed);
+      if (best == n || cost < best_cost) {
+        best = pos;
+        best_cost = cost;
+      }
+    }
+    placed[best] = true;
+    order.push_back(best);
+    bound = Close(model, bound | model.atom_vars[best]);
+  }
+  PlannedBody out;
+  out.mode = "cbo-fallback";
+  for (size_t pos : order) out.atom_order.push_back(model.atoms[pos]);
+  WalkOrder(model, rule, order, indexed, &out.cost, &out.est_rows);
+  return out;
 }
 
 struct Cand {
@@ -222,7 +257,7 @@ PlannedBody RunDp(const BodyModel& model, const Rule& rule, bool indexed,
 
   // Bound-variable set per subset (order-independent).
   std::vector<VarMask> bound_of(full + 1);
-  bound_of[0] = Close(model, 0);
+  bound_of[0] = Close(model, {});
   for (size_t mask = 1; mask <= full; ++mask) {
     size_t low = mask & (mask - 1);
     size_t bit = mask ^ low;
@@ -248,7 +283,7 @@ PlannedBody RunDp(const BodyModel& model, const Rule& rule, bool indexed,
           continue;
         }
         if ((bound_of[0] &
-             (model.atom_vars[i] | model.atom_vars[j])) != 0) {
+             (model.atom_vars[i] | model.atom_vars[j])).any()) {
           continue;
         }
         const size_t k = MergePrefix(model, rule, i, j);
@@ -324,10 +359,6 @@ PlannedBody PlanJoinOrder(const Rule& rule,
                           StatsCatalog* stats, JoinOrderMode mode,
                           bool indexed, bool allow_merge) {
   PlannedBody out;
-  if (mode == JoinOrderMode::kGreedy) {
-    out.mode = "greedy";
-    return out;
-  }
   if (mode == JoinOrderMode::kCostBased) {
     // Bodies with at most one positive atom have nothing to reorder:
     // answer without touching statistics. Magic/counting rewrites emit
@@ -350,16 +381,13 @@ PlannedBody PlanJoinOrder(const Rule& rule,
   if (mode == JoinOrderMode::kTextual) {
     out.mode = "textual";
     out.atom_order = model.atoms;
-    if (model.ok) {
-      std::vector<size_t> positions(model.atoms.size());
-      for (size_t i = 0; i < positions.size(); ++i) positions[i] = i;
-      WalkOrder(model, rule, positions, indexed, &out.cost, &out.est_rows);
-    }
+    std::vector<size_t> positions(model.atoms.size());
+    for (size_t i = 0; i < positions.size(); ++i) positions[i] = i;
+    WalkOrder(model, rule, positions, indexed, &out.cost, &out.est_rows);
     return out;
   }
-  if (!model.ok || model.atoms.size() > kMaxDpAtoms) {
-    out.mode = "cbo-fallback";
-    return out;
+  if (model.atoms.size() > kMaxDpAtoms) {
+    return RunGreedy(model, rule, indexed);
   }
   return RunDp(model, rule, indexed, allow_merge);
 }

@@ -13,10 +13,11 @@
 // model which variables they bind (a closure over the bound-variable set
 // after each atom) to cost the probes correctly.
 //
-// Bodies too wide for the DP table (more than kMaxDpAtoms positive atoms
-// or more than 64 distinct variables) fall back to the legacy greedy
-// order; `mode` reports "cbo-fallback" so traces make the fallback
-// visible.
+// Bodies too wide for the DP table (more than kMaxDpAtoms positive atoms)
+// get a greedy pass over the same cost model instead: each step scans the
+// atom with the lowest ScanCost given the variables bound so far, ties
+// going to source order. `mode` reports "cbo-fallback" so traces make the
+// fallback visible.
 #ifndef SEPREC_PLAN_PLANNER_H_
 #define SEPREC_PLAN_PLANNER_H_
 
@@ -31,19 +32,17 @@
 namespace seprec {
 
 enum class JoinOrderMode {
-  kCostBased,  // DP planner (default)
-  kGreedy,     // legacy most-bound-first heuristic
+  kCostBased,  // DP planner, greedy past kMaxDpAtoms (default)
   kTextual,    // source order of positive atoms (--no-cbo ablation)
 };
 
-// The planner's verdict for one rule body. `atom_order` lists body indices
-// of the positive atoms in scan order; empty means the caller should use
-// its greedy heuristic (mode kGreedy or a DP fallback).
+// The planner's verdict for one rule body. `atom_order` lists the body
+// index of every positive atom, in scan order.
 struct PlannedBody {
   std::vector<size_t> atom_order;
   double cost = 0.0;      // estimated total row visits + probes
   double est_rows = 0.0;  // estimated bindings after the last scan
-  std::string mode;       // "cbo" | "cbo-fallback" | "greedy" | "textual"
+  std::string mode;       // "cbo" | "cbo-fallback" | "textual"
   // Join algorithm for the leading pair of atoms: "merge" when the DP
   // chose a merge join of atom_order[0] and atom_order[1] on their shared
   // variable prefix of length `merge_prefix` (both inputs ordered, i.e.
@@ -51,18 +50,20 @@ struct PlannedBody {
   std::string algo = "hash";
   size_t merge_prefix = 0;
 
-  // "0,2,1" for logs/traces; "" when atom_order is empty.
+  // "0,2,1" for logs/traces; "" for a body without positive atoms.
   std::string OrderString() const;
 };
 
 // Plans the join order of `rule`'s positive body atoms. `relations` is
 // parallel to rule.body (null for non-atom literals), already resolved
 // through any relation overrides so delta/partition variants are costed
-// against the relation they actually scan. `stats` may be null (each
+// against the relation they actually scan; a positive atom whose relation
+// does not exist yet (null) is costed as the empty relation
+// RulePlan::Compile will create for it. `stats` may be null (each
 // relation is then scanned directly, uncached). `indexed` is false under
 // the --disable-indexes ablation, where every scan is a full walk.
 // `allow_merge` lets the DP consider merge joins over ordered
-// (segment-backed) relations; false is the --no-segments ablation.
+// (segment-backed) relations.
 PlannedBody PlanJoinOrder(const Rule& rule,
                           const std::vector<const Relation*>& relations,
                           StatsCatalog* stats, JoinOrderMode mode,

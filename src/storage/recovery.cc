@@ -315,13 +315,9 @@ StatusOr<CheckpointInfo> DurableStorage::Checkpoint(const Database& db) {
   const uint64_t retired_bytes = wal_bytes();
 
   // 1. New snapshot, durably in place under its (not-yet-referenced)
-  // name. Segment (v3) files and text (v2) files share the same atomic
-  // write-temp + rename discipline; recovery sniffs the format.
-  if (options_.use_segments) {
-    SEPREC_RETURN_IF_ERROR(SaveSnapshotV3File(db, snap_path));
-  } else {
-    SEPREC_RETURN_IF_ERROR(SaveSnapshotFile(db, snap_path));
-  }
+  // name, as a v3 segment file (atomic write-temp + rename); recovery
+  // sniffs the format, so older v1/v2 text snapshots still load.
+  SEPREC_RETURN_IF_ERROR(SaveSnapshotV3File(db, snap_path));
 
   // 2. Fresh WAL for the new epoch. An orphan from an interrupted earlier
   // checkpoint may exist; it is unreferenced garbage, so clear it first.

@@ -7,7 +7,8 @@
 //                        checkpoint id, snapshot file (or none), WAL file
 //                        + replay offset, and the Database generation the
 //                        snapshot was taken at
-//   snapshot-<id>.seprec atomic whole-database snapshot (snapshot.h)
+//   snapshot-<id>.seprec atomic whole-database snapshot, written as a v3
+//                        segment file (segment/snapshot_v3.h)
 //   wal-<id>.log         append-only WAL of TupleBatch records (wal.h)
 //
 // Invariants the checkpoint protocol maintains:
@@ -53,10 +54,6 @@ struct DurabilityOptions {
   // LogBatch marks ShouldCheckpoint() once the WAL exceeds this many
   // bytes; 0 disables the hint (explicit checkpoints only).
   uint64_t checkpoint_bytes = 64ull << 20;
-  // Checkpoint writes snapshots in format v3 (sorted, compressed,
-  // mmap-served segment files). False — the `--no-segments` ablation —
-  // writes text v2 instead. Loading accepts every format either way.
-  bool use_segments = true;
 };
 
 // What Open did, for operator-facing logs and the crash harness.
@@ -108,7 +105,6 @@ class DurableStorage {
 
   const std::string& dir() const { return dir_; }
   FsyncPolicy fsync_policy() const { return options_.fsync; }
-  bool use_segments() const { return options_.use_segments; }
 
  private:
   DurableStorage(std::string dir, DurabilityOptions options)

@@ -2,7 +2,12 @@
 // relation (including which columns are integers vs symbols — plain TSV
 // cannot distinguish the symbol "42" from the integer 42).
 //
-// Format (v2; the writer always emits v2, the loader accepts v1 too):
+// Checkpoints write format v3 (segment/snapshot_v3.h). LoadSnapshotFile
+// reads every format: it sniffs v3 and reads v1/v2 text, so older data
+// directories still recover. SaveSnapshot/SaveSnapshotFile write v2; they
+// produce the fixtures for the v1/v2 reader's tests and benches.
+//
+// Text format (v2; the loader accepts v1 too):
 //   seprec-snapshot v2
 //   relation <name> <arity>
 //   <value>\t<value>...          one line per tuple

@@ -581,6 +581,57 @@ TEST(Cli, AnalyzeUsageErrors) {
                           " --max-bound many")).exit_code, 2);
 }
 
+// Rules over relations with no data yet are planned as over the empty
+// relations execution creates, not reported as an unplanned fallback.
+TEST(Cli, ExplainPlanWithoutDataPlansEveryRule) {
+  const std::string path = StrCat(::testing::TempDir(), "/cli_no_data.dl");
+  {
+    std::ofstream out(path);
+    out << "t(X, Y) :- e(X, Z) & f(Z, Y).\n"
+           "t(X, Y) :- e(X, Z) & t(Z, Y).\n"
+           "?- t(a, Y).\n";
+  }
+  CliResult r = RunCli(StrCat("analyze ", path, " --explain-plan"));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("cbo-fallback"), std::string::npos) << r.output;
+  size_t planned = 0;
+  for (size_t at = r.output.find("  mode=cbo "); at != std::string::npos;
+       at = r.output.find("  mode=cbo ", at + 1)) {
+    size_t eol = r.output.find('\n', at);
+    EXPECT_NE(r.output.substr(at, eol - at).find("order=[0,1]"),
+              std::string::npos)
+        << r.output;
+    ++planned;
+  }
+  EXPECT_EQ(planned, 2u) << r.output;
+  std::remove(path.c_str());
+}
+
+// There is no `--no-segments` flag and no `client` subcommand; asking for
+// them is a usage error, never a silent no-op.
+TEST(Cli, RemovedFlagsAndClientAreRejected) {
+  CliResult run = RunCli(StrCat("run ", Data("tc.dl"), " --no-segments"));
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("unknown flag '--no-segments'"),
+            std::string::npos)
+      << run.output;
+
+  // The socket path is unbindable, so a serve that accepted the flag
+  // would fail with a bind error instead of this message.
+  CliResult serve =
+      RunCli("serve /nonexistent-dir/seprec.sock --no-segments");
+  EXPECT_EQ(serve.exit_code, 1) << serve.output;
+  EXPECT_NE(serve.output.find("unknown serve flag '--no-segments'"),
+            std::string::npos)
+      << serve.output;
+
+  CliResult client = RunCli(StrCat("client /nonexistent-dir/seprec.sock ",
+                                   Data("tc.dl")));
+  EXPECT_EQ(client.exit_code, 2) << client.output;
+  EXPECT_NE(client.output.find("usage:"), std::string::npos)
+      << client.output;
+}
+
 TEST(Cli, ErrorsAreClean) {
   EXPECT_EQ(RunCli("run /no/such/file.dl").exit_code, 1);
   EXPECT_EQ(RunCli(StrCat("explain ", Data("social.dl"), " \"((\"")).exit_code,

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "plan/cost.h"
 #include "plan/stats.h"
 #include "storage/database.h"
+#include "util/string_util.h"
 
 namespace seprec {
 namespace {
@@ -166,13 +168,105 @@ TEST(Planner, AvoidsCrossProduct) {
   EXPECT_LT(planned.cost, textual.cost);
 }
 
-TEST(Planner, GreedyModeDefersToCompileTimeHeuristic) {
+// Relations that do not exist yet (a program prepared before its data is
+// loaded) are costed as the empty relations RulePlan::Compile creates for
+// them, so `--explain-plan` shows the order execution will use.
+TEST(Planner, MissingRelationsAreCostedAsEmpty) {
   Database db;
-  ASSERT_TRUE(db.AddFact("e", {"a", "b"}).ok());
-  PlannedBody greedy =
-      PlanFor("h(X, Z) :- e(X, Y), e(Y, Z).", &db, JoinOrderMode::kGreedy);
-  EXPECT_EQ(greedy.mode, "greedy");
-  EXPECT_TRUE(greedy.atom_order.empty());
+  for (const char* rule : {"t(X, Y) :- e(X, Z), f(Z, Y).",
+                           "t(X, Y) :- e(X, Z), t(Z, Y)."}) {
+    PlannedBody planned = PlanFor(rule, &db, JoinOrderMode::kCostBased);
+    EXPECT_EQ(planned.mode, "cbo") << rule;
+    EXPECT_EQ(planned.atom_order, (std::vector<size_t>{0, 1})) << rule;
+    PlannedBody textual = PlanFor(rule, &db, JoinOrderMode::kTextual);
+    EXPECT_EQ(textual.atom_order, (std::vector<size_t>{0, 1})) << rule;
+  }
+}
+
+std::vector<size_t> Iota(size_t n) {
+  std::vector<size_t> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = i;
+  return out;
+}
+
+// Bodies past the DP table get the greedy pass over the same cost model:
+// a complete order that follows the join graph, not the source order.
+TEST(Planner, WideBodiesGetACompleteGreedyOrder) {
+  // A 14-atom chain e(X0, X1), e(X1, X2), ... written even links first,
+  // then odd ones, so its source order opens with a cross product.
+  std::vector<std::string> links;
+  for (int parity = 0; parity < 2; ++parity) {
+    for (int i = parity; i < 14; i += 2) {
+      links.push_back(StrCat("e(X", i, ", X", i + 1, ")"));
+    }
+  }
+  const std::string chain =
+      StrCat("q(X0, X14) :- ", StrJoin(links, " & "), ".");
+  // e is a 4-cycle, so every node starts a path of length 14.
+  auto populate = [](Database* db) {
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(
+          db->AddFact("e", {StrCat("n", i), StrCat("n", (i + 1) % 4)}).ok());
+    }
+  };
+  Database db;
+  populate(&db);
+
+  PlannedBody planned = PlanFor(chain, &db, JoinOrderMode::kCostBased);
+  EXPECT_EQ(planned.mode, "cbo-fallback");
+  std::vector<size_t> sorted = planned.atom_order;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, Iota(14));
+  // No cross product: every scan after the first shares a variable with
+  // an earlier one.
+  Program program = ParseProgramOrDie(chain);
+  std::set<std::string> bound;
+  for (size_t k = 0; k < planned.atom_order.size(); ++k) {
+    const Atom& atom = program.rules[0].body[planned.atom_order[k]].atom;
+    bool shares = false;
+    for (const Term& arg : atom.args) shares |= bound.count(arg.name) > 0;
+    EXPECT_TRUE(k == 0 || shares)
+        << "scan " << k << " is a cross product: " << planned.OrderString();
+    for (const Term& arg : atom.args) bound.insert(arg.name);
+  }
+
+  auto answers = [&](bool no_cbo) {
+    Database run_db;
+    populate(&run_db);
+    StatusOr<QueryProcessor> qp =
+        QueryProcessor::Create(ParseProgramOrDie(chain));
+    SEPREC_CHECK(qp.ok());
+    FixpointOptions options;
+    options.no_cbo = no_cbo;
+    StatusOr<QueryResult> result =
+        qp->Answer(ParseAtomOrDie("q(X, Y)"), &run_db, Strategy::kSemiNaive,
+                   options);
+    SEPREC_CHECK(result.ok());
+    std::vector<std::string> out = result->answer.ToStrings(run_db.symbols());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::string> cbo = answers(/*no_cbo=*/false);
+  EXPECT_EQ(cbo.size(), 4u);
+  EXPECT_EQ(cbo, answers(/*no_cbo=*/true));
+
+  // 36 atoms over 70 distinct variables.
+  std::vector<std::string> atoms;
+  for (int i = 0; i < 35; ++i) {
+    atoms.push_back(StrCat("e(Y", 2 * i, ", Y", 2 * i + 1, ")"));
+  }
+  atoms.push_back("e(Y0, Y69)");
+  const std::string wide =
+      StrCat("w(Y0) :- ", StrJoin(atoms, " & "), ".");
+  PlannedBody wide_plan = PlanFor(wide, &db, JoinOrderMode::kCostBased);
+  EXPECT_EQ(wide_plan.mode, "cbo-fallback");
+  sorted = wide_plan.atom_order;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, Iota(36));
+  StatusOr<RulePlan> compiled =
+      RulePlan::Compile(ParseProgramOrDie(wide).rules[0], &db);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ(compiled->plan_info().atom_order, wide_plan.atom_order);
 }
 
 TEST(Planner, PlansAreDeterministic) {

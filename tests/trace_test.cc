@@ -1,5 +1,5 @@
 // Evaluation tracing: every engine feeds the TraceSink with typed events,
-// JsonTraceSink serialises them as schema-v1 JSON lines, and the metrics
+// JsonTraceSink serialises them as JSON lines, and the metrics
 // the trace reports are thread-count-invariant where the schema says so.
 #include "eval/trace.h"
 

@@ -65,15 +65,8 @@
 //       --recover tolerant truncates a corrupt WAL at the last valid
 //       record instead of refusing to start; either way the recovery
 //       report is printed to stderr. An unrecoverable data directory
-//       exits 4.
-//
-//   seprec_cli client <socket> <program.dl> [--query "<atom>"]
-//                     [--strategy S] [--no-cache] [--no-opt] [--stats]
-//                     [--timeout-ms N] [--max-tuples N] [--max-bytes N]
-//       Send the program to a running server and print the streamed
-//       answers in the same format as `run` (so outputs diff cleanly
-//       against one-shot runs). Exit codes match `run`: 3 when the
-//       server reports a partial (limit-tripped) result.
+//       exits 4. tools/seprec_client.py is the client; it renders the
+//       streamed answers exactly like `run`.
 //
 // Process exit codes: 0 = success, 1 = failure, 2 = usage error,
 // 3 = a resource limit stopped the evaluation (partial result or
@@ -81,14 +74,10 @@
 // (corrupt WAL/snapshot/manifest; see DESIGN.md section 12).
 //
 // Strategies: auto separable magic counting qsqr seminaive naive.
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -136,8 +125,7 @@ int Usage() {
                "[--strategy S] [--stats]\n"
                "                  [--timeout-ms N] [--max-tuples N] "
                "[--max-bytes N] [--threads N]\n"
-               "                  [--trace FILE] [--no-cbo] "
-               "[--no-segments]\n"
+               "                  [--trace FILE] [--no-cbo]\n"
                "       seprec_cli check <program.dl>\n"
                "       seprec_cli explain <program.dl> \"<query>\"\n"
                "       seprec_cli why <program.dl> \"<fact>\" "
@@ -154,11 +142,7 @@ int Usage() {
                "[--data-dir DIR]\n"
                "                  [--fsync always|batch|off] "
                "[--recover strict|tolerant]\n"
-               "                  [--checkpoint-bytes N] [--no-segments]\n"
-               "       seprec_cli client <socket> <program.dl> "
-               "[--query \"<atom>\"] [--strategy S]\n"
-               "                  [--no-cache] [--stats] [--timeout-ms N] "
-               "[--max-tuples N] [--max-bytes N]\n");
+               "                  [--checkpoint-bytes N]\n");
   return 2;
 }
 
@@ -250,12 +234,6 @@ StatusOr<CommonFlags> ParseFlags(int argc, char** argv, int first) {
       // Ablation: keep each rule body's textual atom order instead of the
       // cost-based join order (compare with bench/micro_plan.cc).
       flags.options.no_cbo = true;
-      continue;
-    }
-    if (arg == "--no-segments") {
-      // Ablation: pure hash-join pipeline, never a merge join over
-      // segment-backed relations (compare with bench/micro_segment.cc).
-      flags.options.no_segments = true;
       continue;
     }
     if (arg == "--data" && i + 1 < argc) {
@@ -734,12 +712,6 @@ int ServeCommand(const std::string& socket_path, int argc, char** argv,
       durability.checkpoint_bytes = static_cast<uint64_t>(*v);
       continue;
     }
-    if (arg == "--no-segments") {
-      // Ablation: checkpoints write the text v2 snapshot format (no
-      // mmap-served segments) and no query compiles a merge join.
-      durability.use_segments = false;
-      continue;
-    }
     return Fail(StrCat("unknown serve flag '", arg, "'"));
   }
 
@@ -801,170 +773,6 @@ int ServeCommand(const std::string& socket_path, int argc, char** argv,
   return 0;
 }
 
-// The client half of the smoke loop: sends one query request and renders
-// the streamed reply in exactly `run`'s output format, so the two paths
-// diff cleanly.
-int ClientCommand(const std::string& socket_path, const std::string& path,
-                  int argc, char** argv, int first) {
-  std::string query_text;
-  std::string strategy = "auto";
-  bool use_cache = true;
-  bool optimize = true;
-  bool stats = false;
-  json::Object limits;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--query" && i + 1 < argc) {
-      query_text = argv[++i];
-      continue;
-    }
-    if (arg == "--strategy" && i + 1 < argc) {
-      strategy = argv[++i];
-      continue;
-    }
-    if (arg == "--no-cache") {
-      use_cache = false;
-      continue;
-    }
-    if (arg == "--no-opt") {
-      optimize = false;
-      continue;
-    }
-    if (arg == "--stats") {
-      stats = true;
-      continue;
-    }
-    if ((arg == "--timeout-ms" || arg == "--max-tuples" ||
-         arg == "--max-bytes" || arg == "--max-iterations") &&
-        i + 1 < argc) {
-      StatusOr<int64_t> v = ParseCount(arg, argv[++i]);
-      if (!v.ok()) return Fail(v.status().ToString());
-      std::string key = arg.substr(2);  // "--timeout-ms" -> "timeout_ms"
-      for (char& c : key) {
-        if (c == '-') c = '_';
-      }
-      limits.insert_or_assign(std::move(key), json::Value(*v));
-      continue;
-    }
-    return Fail(StrCat("unknown client flag '", arg, "'"));
-  }
-
-  std::ifstream in(path);
-  if (!in) return Fail(StrCat("cannot open '", path, "'"));
-  std::ostringstream program;
-  program << in.rdbuf();
-
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Fail(StrCat("socket(): ", std::strerror(errno)));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    return Fail("socket path too long");
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Fail(StrCat("connect(", socket_path, "): ",
-                       std::strerror(errno)));
-  }
-
-  json::Object req;
-  req.emplace("op", json::Value("query"));
-  req.emplace("id", json::Value(int64_t{1}));
-  req.emplace("program", json::Value(program.str()));
-  if (!query_text.empty()) req.emplace("query", json::Value(query_text));
-  req.emplace("strategy", json::Value(strategy));
-  req.emplace("cache", json::Value(use_cache));
-  req.emplace("optimize", json::Value(optimize));
-  if (!limits.empty()) {
-    req.emplace("limits", json::Value(std::move(limits)));
-  }
-  std::string line = json::Serialize(json::Value(std::move(req)));
-  line.push_back('\n');
-  size_t off = 0;
-  while (off < line.size()) {
-    ssize_t n = ::send(fd, line.data() + off, line.size() - off, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Fail(StrCat("send(): ", std::strerror(errno)));
-    }
-    off += static_cast<size_t>(n);
-  }
-
-  int exit_code = 0;
-  std::string buffer;
-  char chunk[4096];
-  bool done = false;
-  while (!done) {
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      return Fail("server closed the connection mid-reply");
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string reply = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      StatusOr<json::Value> msg = json::Parse(reply);
-      if (!msg.ok()) {
-        ::close(fd);
-        return Fail(StrCat("bad reply line: ", msg.status().ToString()));
-      }
-      const std::string& ev = msg->Get("ev").as_string();
-      if (ev == "begin") {
-        std::printf("?- %s.\n", msg->Get("query").as_string().c_str());
-      } else if (ev == "result") {
-        std::printf("%s\n", msg->Get("tuple").as_string().c_str());
-      } else if (ev == "answer") {
-        std::printf("%% %lld answer(s) via %s\n",
-                    static_cast<long long>(msg->Get("answers").as_int()),
-                    msg->Get("strategy").as_string().c_str());
-        for (const json::Value& note : msg->Get("notes").as_array()) {
-          std::printf("%%%% note[%s]: %s\n",
-                      note.Get("code").as_string().c_str(),
-                      note.Get("message").as_string().c_str());
-        }
-        if (msg->Get("partial").as_bool()) {
-          std::printf("%%%% partial result (%s)\n",
-                      msg->Get("cause").as_string().c_str());
-          exit_code = 3;
-        }
-        if (stats) {
-          if (msg->Has("passes")) {
-            std::printf("%%%% passes: %s\n",
-                        msg->Get("passes").as_string().c_str());
-          }
-          std::printf("%%%% cache: plan=%s closure=%s stored=%s "
-                      "detections=%lld generation=%lld\n",
-                      msg->Get("plan_cache").as_string().c_str(),
-                      msg->Get("closure_cache").as_string().c_str(),
-                      msg->Get("closure_stored").as_bool() ? "yes" : "no",
-                      static_cast<long long>(
-                          msg->Get("detections").as_int()),
-                      static_cast<long long>(
-                          msg->Get("generation").as_int()));
-        }
-      } else if (ev == "error") {
-        std::fprintf(stderr, "seprec_cli: server error %s: %s\n",
-                     msg->Get("code").as_string().c_str(),
-                     msg->Get("message").as_string().c_str());
-        const std::string& code = msg->Get("code").as_string();
-        ::close(fd);
-        return code == "RESOURCE_EXHAUSTED" || code == "CANCELLED" ? 3 : 1;
-      } else if (ev == "done") {
-        done = true;
-        break;
-      }
-    }
-  }
-  ::close(fd);
-  return exit_code;
-}
-
 int Main(int argc, char** argv) {
   if (argc < 3) return Usage();
   std::string command = argv[1];
@@ -1001,10 +809,6 @@ int Main(int argc, char** argv) {
   }
   if (command == "serve") {
     return ServeCommand(path, argc, argv, 3);
-  }
-  if (command == "client") {
-    if (argc < 4) return Usage();
-    return ClientCommand(path, argv[3], argc, argv, 4);
   }
   return Usage();
 }

@@ -2,19 +2,23 @@
 """JSON-lines client for `seprec_cli serve` (DESIGN.md section 10).
 
 Connects to the Unix-domain socket, sends one query request per
-connection, and renders the streamed reply exactly like
-`seprec_cli run` / `seprec_cli client` render theirs — so CI can diff
-server answers against one-shot CLI answers byte for byte.
+connection, and renders the streamed reply exactly like `seprec_cli run`
+renders its answers — so CI can diff server answers against one-shot CLI
+answers byte for byte.
 
 Usage:
   tools/seprec_client.py SOCKET PROGRAM.dl [--query 'q(a, X)']
       [--strategy auto|separable|magic|counting|qsqr|seminaive|naive]
-      [--no-cache] [--stats] [--parallel N]
+      [--no-cache] [--no-opt] [--stats] [--parallel N]
       [--timeout-ms N] [--max-tuples N] [--max-bytes N]
       [--max-iterations N]
       [--load REL=FILE.tsv]... [--load-mode insert|delete]
       [--checkpoint]
       [--subscribe [--expect-deltas N] [--delta-timeout SECONDS]]
+
+--no-opt sends "optimize": false, which skips the static pass pipeline
+for the request. --stats prints the reply's pass summary ("%% passes:
+...", when the pipeline ran) and cache counters after the answers.
 
 With --parallel N the same request is fired over N concurrent
 connections; the rendered outputs must be bit-identical (exit 1 when any
@@ -58,6 +62,8 @@ def build_request(args):
         req["strategy"] = args.strategy
     if args.no_cache:
         req["cache"] = False
+    if args.no_opt:
+        req["optimize"] = False
     limits = {}
     for key in ("timeout_ms", "max_tuples", "max_bytes", "max_iterations"):
         val = getattr(args, key)
@@ -97,7 +103,7 @@ def run_loads(sock_path, loads, mode):
                                  % (relation, msg.get("code", "?"),
                                     msg.get("message", "")))
                 return 1
-            sys.stdout.write("%% loaded %s: changed=%d generation=%d\n"
+            sys.stdout.write("%%%% loaded %s: changed=%d generation=%d\n"
                              % (relation, msg.get("changed", 0),
                                 msg.get("generation", 0)))
             sys.stdout.flush()
@@ -118,7 +124,7 @@ def run_checkpoint(sock_path):
                                 msg.get("message", "")))
             return 1
         sys.stdout.write(
-            "%% checkpoint %s generation=%d wal_bytes_truncated=%d\n"
+            "%%%% checkpoint %s generation=%d wal_bytes_truncated=%d\n"
             % (msg.get("snapshot", "?"), msg.get("generation", 0),
                msg.get("wal_bytes_truncated", 0)))
         sys.stdout.flush()
@@ -144,7 +150,7 @@ def run_subscribe(sock_path, request, expect_deltas, delta_timeout):
                              % (ack.get("code", "?"),
                                 ack.get("message", "")))
             return 1
-        sys.stdout.write("%% subscribed %d with %d answer(s)\n"
+        sys.stdout.write("%%%% subscribed %d with %d answer(s)\n"
                          % (ack["subscription"], ack["answers"]))
         sys.stdout.flush()
         deltas = 0
@@ -201,6 +207,8 @@ def run_request(sock_path, request, want_stats):
                                % msg.get("cause", "unknown"))
                     code = 3
                 if want_stats:
+                    if "passes" in msg:
+                        out.append("%%%% passes: %s\n" % msg["passes"])
                     out.append(
                         "%%%% cache: plan=%s closure=%s stored=%s "
                         "detections=%d generation=%d\n"
@@ -225,6 +233,9 @@ def main():
     ap.add_argument("--query")
     ap.add_argument("--strategy")
     ap.add_argument("--no-cache", action="store_true")
+    ap.add_argument("--no-opt", action="store_true",
+                    help="send \"optimize\": false (skip the pass "
+                         "pipeline)")
     ap.add_argument("--stats", action="store_true")
     ap.add_argument("--parallel", type=int, default=1)
     ap.add_argument("--timeout-ms", type=int, dest="timeout_ms")

@@ -4,18 +4,13 @@
 Usage: tools/validate_trace.py trace.jsonl [--require-engine NAME]...
 
 Checks, per line: parses as a JSON object, carries the envelope fields
-(v in {1, 2, 3, 4, 5}, monotonically increasing seq, non-decreasing
-numeric t, known ev), and carries exactly the fields its event kind
-requires with the right JSON types. The "pass" event (static-analysis
-pipeline verdicts) was added in schema v2, the "plan" event (cost-based
-join orders) in v3, the "delta" and "subscription" events (incremental
-closure maintenance and server-side subscriptions) in v4, and the "algo"
-field on "plan" events (merge-join vs hash-join choice) in v5; a line
-claiming an older version than its event's introduction is a violation,
-as is a version-gated field appearing below (or missing at) its
-introduction version. With --require-engine the file must additionally contain an
-engine_start, an engine_finish, and at least one round_end for that engine
-(the CI smoke query uses this to prove the traced path actually ran).
+(v equal to the schema version JsonTraceSink emits, monotonically
+increasing seq, non-decreasing numeric t, known ev), and carries exactly
+the fields its event kind requires with the right JSON types (the schema
+in src/eval/trace.h). With --require-engine the file must additionally
+contain an engine_start, an engine_finish, and at least one round_end for
+that engine (the CI smoke query uses this to prove the traced path
+actually ran).
 
 Exit codes: 0 = valid, 1 = schema violation, 2 = usage/IO error.
 """
@@ -23,6 +18,9 @@ Exit codes: 0 = valid, 1 = schema violation, 2 = usage/IO error.
 import argparse
 import json
 import sys
+
+# JsonTraceSink::kSchemaVersion.
+SCHEMA_VERSION = 5
 
 ENVELOPE = {"v": int, "seq": int, "t": (int, float), "ev": str}
 
@@ -47,22 +45,13 @@ EVENT_FIELDS = {
     "session": {"cause": str, "detail": str},
     "pass": {"pass": str, "verdict": str, "detail": str},
     "plan": {"engine": str, "phase": str, "rule": str, "mode": str,
-             "order": str, "cost": (int, float), "est_rows": int},
+             "algo": str, "order": str, "cost": (int, float),
+             "est_rows": int},
     "delta": {"phase": str, "detail": str, "delta": int, "inserted": int,
               "emitted": int, "seconds": (int, float)},
     "subscription": {"cause": str, "detail": str, "delta": int},
     "note": {"detail": str},
 }
-
-KNOWN_VERSIONS = (1, 2, 3, 4, 5)
-
-# ev -> version that introduced it (events absent here are v1).
-MIN_VERSION = {"pass": 2, "plan": 3, "delta": 4, "subscription": 4}
-
-# ev -> {field: (introduced version, type)}: fields added to an existing
-# event by a later schema version. Required at or above that version,
-# forbidden below it.
-VERSIONED_FIELDS = {"plan": {"algo": (5, str)}}
 
 
 def check_fields(obj, spec, lineno, errors):
@@ -119,8 +108,9 @@ def main():
         if not all(f in obj and isinstance(obj[f], ENVELOPE[f])
                    for f in ENVELOPE):
             continue
-        if obj["v"] not in KNOWN_VERSIONS:
-            errors.append(f"line {lineno}: unknown schema version {obj['v']}")
+        if obj["v"] != SCHEMA_VERSION:
+            errors.append(f"line {lineno}: schema version {obj['v']}, "
+                          f"expected {SCHEMA_VERSION}")
         if obj["seq"] != prev_seq + 1:
             errors.append(f"line {lineno}: seq {obj['seq']} after {prev_seq}")
         prev_seq = obj["seq"]
@@ -131,17 +121,7 @@ def main():
         if ev not in EVENT_FIELDS:
             errors.append(f"line {lineno}: unknown event '{ev}'")
             continue
-        if obj["v"] < MIN_VERSION.get(ev, 1):
-            errors.append(f"line {lineno}: event '{ev}' requires schema "
-                          f"v{MIN_VERSION[ev]} but line claims v{obj['v']}")
-        spec = dict(EVENT_FIELDS[ev])
-        for field, (since, ftype) in VERSIONED_FIELDS.get(ev, {}).items():
-            if obj["v"] >= since:
-                spec[field] = ftype
-            elif field in obj:
-                errors.append(f"line {lineno}: field '{field}' requires "
-                              f"schema v{since} but line claims v{obj['v']}")
-        check_fields(obj, spec, lineno, errors)
+        check_fields(obj, EVENT_FIELDS[ev], lineno, errors)
         engine = obj.get("engine")
         if isinstance(engine, str):
             marks = seen.setdefault(engine, set())

@@ -2,13 +2,9 @@
 """Unit tests for validate_trace.py (run directly or via ctest).
 
 Each test materialises a trace file in a temp dir and runs
-validate_trace.main() with patched argv, asserting on the exit code. The
-versioning cases are the contract this suite pins down: v1 files stay
-valid (back-compat), v2 files may carry "pass" events, v3 files may carry
-"plan" events, v4 files may carry "delta" and "subscription" events, v5
-"plan" events must carry "algo" (and earlier ones must not), and a line
-claiming an event or field from a newer schema than its own version is a
-violation.
+validate_trace.main() with patched argv, asserting on the exit code.
+Only the schema version the sink emits (5) is valid; every event kind
+must carry exactly its fields with the right types.
 """
 
 import importlib.util
@@ -25,12 +21,15 @@ validate_trace = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(validate_trace)
 
 
-def envelope(seq, ev, v=2, t=None):
+V = validate_trace.SCHEMA_VERSION
+
+
+def envelope(seq, ev, v=V, t=None):
     return {"v": v, "seq": seq, "t": float(seq) if t is None else t,
             "ev": ev}
 
 
-def engine_pair(v=2, engine="seminaive", seq0=0):
+def engine_pair(v=V, engine="seminaive", seq0=0):
     start = dict(envelope(seq0, "engine_start", v=v), engine=engine)
     round_end = dict(envelope(seq0 + 1, "round_end", v=v), engine=engine,
                      phase="stratum0", round=0, emitted=1, inserted=1,
@@ -41,30 +40,60 @@ def engine_pair(v=2, engine="seminaive", seq0=0):
     return [start, round_end, finish]
 
 
-def pass_event(seq, v=2, name="bounded", verdict="rewritten"):
+def pass_event(seq, v=V, name="bounded", verdict="rewritten"):
     return dict(envelope(seq, "pass", v=v), **{"pass": name},
                 verdict=verdict, detail="t/2: bound 0")
 
 
-def plan_event(seq, v=3, **extra):
-    ev = dict(envelope(seq, "plan", v=v), engine="seminaive",
-              phase="compile/base",
-              rule="tc(X, Y) :- edge(X, W), tc(W, Y).", mode="cbo",
-              order="1,0", cost=12.5, est_rows=3)
-    if v >= 5 and "algo" not in extra:
-        extra = dict(extra, algo="hash")
-    ev.update(extra)
-    return ev
+def plan_event(seq, v=V):
+    return dict(envelope(seq, "plan", v=v), engine="seminaive",
+                phase="compile/base",
+                rule="tc(X, Y) :- edge(X, W), tc(W, Y).", mode="cbo",
+                algo="hash", order="1,0", cost=12.5, est_rows=3)
 
 
-def delta_event(seq, v=4):
+def delta_event(seq, v=V):
     return dict(envelope(seq, "delta", v=v), phase="delete", detail="edge",
                 delta=2, inserted=1, emitted=0, seconds=0.001)
 
 
-def subscription_event(seq, v=4, cause="notify"):
+def subscription_event(seq, v=V, cause="notify"):
     return dict(envelope(seq, "subscription", v=v), cause=cause,
                 detail="sub1 tc(a, X)", delta=3)
+
+
+def one_of_each(v=V):
+    """One event of every kind, in a valid seq order."""
+    events = [
+        dict(envelope(0, "engine_start", v=v), engine="separable"),
+        dict(envelope(1, "round_start", v=v), engine="separable",
+             phase="phase1", round=0, delta=1),
+        dict(envelope(2, "rule", v=v), engine="separable", phase="phase1",
+             round=0, rule="tc(X, Y) :- edge(X, Y).", emitted=1,
+             inserted=1, probes=2),
+        dict(envelope(3, "merge", v=v), engine="separable", phase="phase1",
+             round=0, staged=2, inserted=1),
+        dict(envelope(4, "parallel_round", v=v), engine="separable",
+             phase="phase1", round=0, partitions=4, threads=2,
+             queue_depth=0),
+        dict(envelope(5, "round_end", v=v), engine="separable",
+             phase="phase1", round=0, emitted=1, inserted=1, delta=0),
+        dict(envelope(6, "engine_finish", v=v), engine="separable",
+             seconds=0.5, iterations=1, tuples=1, polls=0,
+             insert_attempts=1, insert_new=1),
+        dict(envelope(7, "governor_trip", v=v), cause="timeout",
+             detail="deadline"),
+        dict(envelope(8, "cache", v=v), phase="plan", cause="hit",
+             detail="key"),
+        dict(envelope(9, "session", v=v), cause="open", detail="fd 7"),
+        pass_event(10, v=v),
+        plan_event(11, v=v),
+        delta_event(12, v=v),
+        subscription_event(13, v=v),
+        dict(envelope(14, "note", v=v), detail="free-form"),
+    ]
+    assert {e["ev"] for e in events} == set(validate_trace.EVENT_FIELDS)
+    return events
 
 
 class ValidateTraceTest(unittest.TestCase):
@@ -88,91 +117,36 @@ class ValidateTraceTest(unittest.TestCase):
         finally:
             sys.argv = old
 
-    def test_v1_trace_still_valid(self):
-        self.write_trace(engine_pair(v=1))
+    def test_every_event_kind_valid(self):
+        self.write_trace(one_of_each())
         self.assertEqual(self.run_validate(), 0)
 
-    def test_v2_trace_valid(self):
-        self.write_trace(engine_pair(v=2))
-        self.assertEqual(self.run_validate(), 0)
+    def test_other_versions_rejected(self):
+        for v in (1, 4, 6):
+            with self.subTest(v=v):
+                self.write_trace(one_of_each(v=v))
+                self.assertEqual(self.run_validate(), 1)
 
-    def test_v2_pass_event_valid(self):
-        events = [pass_event(0)] + engine_pair(seq0=1)
-        self.write_trace(events)
-        self.assertEqual(self.run_validate(), 0)
-
-    def test_v1_pass_event_rejected(self):
-        events = [pass_event(0, v=1)] + engine_pair(v=1, seq0=1)
-        self.write_trace(events)
-        self.assertEqual(self.run_validate(), 1)
-
-    def test_v3_plan_event_valid(self):
-        events = [plan_event(0)] + engine_pair(v=3, seq0=1)
-        self.write_trace(events)
-        self.assertEqual(self.run_validate(), 0)
-
-    def test_v2_plan_event_rejected(self):
-        events = [plan_event(0, v=2)] + engine_pair(seq0=1)
-        self.write_trace(events)
+    def test_plan_event_missing_algo_rejected(self):
+        bad = plan_event(0)
+        del bad["algo"]
+        self.write_trace([bad] + engine_pair(seq0=1))
         self.assertEqual(self.run_validate(), 1)
 
     def test_plan_event_bad_cost_type_rejected(self):
         bad = dict(plan_event(0), cost="cheap")
-        self.write_trace([bad] + engine_pair(v=3, seq0=1))
-        self.assertEqual(self.run_validate(), 1)
-
-    def test_unknown_version_rejected(self):
-        self.write_trace(engine_pair(v=6))
-        self.assertEqual(self.run_validate(), 1)
-
-    def test_v5_plan_event_with_algo_valid(self):
-        events = [plan_event(0, v=5, algo="merge")] + \
-            engine_pair(v=5, seq0=1)
-        self.write_trace(events)
-        self.assertEqual(self.run_validate(), 0)
-
-    def test_v5_plan_event_missing_algo_rejected(self):
-        bad = plan_event(0, v=5)
-        del bad["algo"]
-        self.write_trace([bad] + engine_pair(v=5, seq0=1))
-        self.assertEqual(self.run_validate(), 1)
-
-    def test_v4_plan_event_with_algo_rejected(self):
-        events = [plan_event(0, v=4, algo="hash")] + \
-            engine_pair(v=4, seq0=1)
-        self.write_trace(events)
-        self.assertEqual(self.run_validate(), 1)
-
-    def test_v4_plan_event_without_algo_still_valid(self):
-        events = [plan_event(0, v=4)] + engine_pair(v=4, seq0=1)
-        self.write_trace(events)
-        self.assertEqual(self.run_validate(), 0)
-
-    def test_v4_delta_and_subscription_events_valid(self):
-        events = [delta_event(0), subscription_event(1)] + \
-            engine_pair(v=4, seq0=2)
-        self.write_trace(events)
-        self.assertEqual(self.run_validate(), 0)
-
-    def test_v3_delta_event_rejected(self):
-        events = [delta_event(0, v=3)] + engine_pair(v=3, seq0=1)
-        self.write_trace(events)
-        self.assertEqual(self.run_validate(), 1)
-
-    def test_v3_subscription_event_rejected(self):
-        events = [subscription_event(0, v=3)] + engine_pair(v=3, seq0=1)
-        self.write_trace(events)
+        self.write_trace([bad] + engine_pair(seq0=1))
         self.assertEqual(self.run_validate(), 1)
 
     def test_delta_event_bad_inserted_type_rejected(self):
         bad = dict(delta_event(0), inserted="one")
-        self.write_trace([bad] + engine_pair(v=4, seq0=1))
+        self.write_trace([bad] + engine_pair(seq0=1))
         self.assertEqual(self.run_validate(), 1)
 
     def test_subscription_event_missing_cause_rejected(self):
         bad = subscription_event(0)
         del bad["cause"]
-        self.write_trace([bad] + engine_pair(v=4, seq0=1))
+        self.write_trace([bad] + engine_pair(seq0=1))
         self.assertEqual(self.run_validate(), 1)
 
     def test_pass_event_missing_verdict_rejected(self):
