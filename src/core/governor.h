@@ -199,10 +199,11 @@ class ExecutionContext {
   std::string message_;  // guarded by latch_mu_
 };
 
-// Adopt-or-own helper used by every engine entry point: adopt the caller's
-// context when one was supplied (the caller handles stops and rollback),
-// else run a private context and convert a trip into an error Status when
-// the entry point returns.
+// Adopt-or-own helper: adopt the caller's context when one was supplied
+// (the caller handles stops and rollback), else run a private context and
+// convert a trip into an error Status when the entry point returns. Engines
+// reach it through EngineRun (eval/engine_run.h); QueryProcessor uses it
+// directly to span a query's fallback hops with one context.
 class GovernorScope {
  public:
   GovernorScope(const ExecutionLimits& limits, CancellationToken* cancel,

@@ -5,83 +5,31 @@
 
 #include "core/query.h"
 #include "core/support.h"
-#include "eval/trace.h"
-#include "util/string_util.h"
-#include "util/timer.h"
+#include "eval/engine_run.h"
 
 namespace seprec {
 
 StatusOr<CountingRunResult> EvaluateWithCounting(
     const Program& program, const Atom& query, Database* db,
     const FixpointOptions& options) {
-  // Time the whole engine call (transform, support, rewritten fixpoint,
-  // answer reconstruction), not just the last nested fixpoint.
-  WallTimer timer;
   CountingRunResult result;
   result.answer = Answer(query.arity());
   result.stats.algorithm = "counting";
   SEPREC_ASSIGN_OR_RETURN(result.rewrite, CountingTransform(program, query));
 
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-  FixpointOptions governed = options;
-  governed.context = governor.ctx();
-  governed.trace_phase_prefix =
-      StrCat(options.trace_phase_prefix, "counting/");
-
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (options.trace != nullptr) {
-    governor.ctx()->SetTrace(options.trace);
-    db->counters().active = true;
-    polls_before = governor.ctx()->polls();
-    attempts_before = db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "counting";
-    options.trace->Emit(e);
-  }
-  auto finish = [&] {
-    result.stats.seconds = timer.Seconds();
-    if (options.trace == nullptr) return;
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "counting";
-    e.seconds = result.stats.seconds;
-    e.iterations = result.stats.iterations;
-    e.tuples = result.stats.tuples_inserted;
-    e.polls = governor.ctx()->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new =
-        db->counters().novel.load(std::memory_order_relaxed) - novel_before;
-    options.trace->Emit(e);
-  };
-
-  Status status = MaterializeSupport(program, query.predicate, db, governed,
-                                     &result.stats);
-  if (status.ok()) {
-    status = EvaluateSemiNaive(result.rewrite.program, db, governed,
-                               &result.stats);
-  }
+  EngineRun run("counting", options, db, &result.stats);
+  FixpointOptions nested = run.Nested("counting/");
+  SEPREC_RETURN_IF_ERROR(MaterializeSupport(program, query.predicate, db,
+                                            nested, &result.stats));
   // Legacy (ungoverned) callers see a trip as an error here, before any
   // answer reconstruction; governed callers get the partial answer back.
-  if (status.ok()) status = governor.ExitStatus();
-  if (!status.ok()) {
-    finish();
-    return status;
-  }
+  SEPREC_RETURN_IF_ERROR(run.Finish(EvaluateSemiNaive(
+      result.rewrite.program, db, nested, &result.stats)));
 
   // Reconstruct full-arity answers: query constants at bound positions,
   // ans-relation values at free positions.
   const Relation* ans = db->Find(result.rewrite.ans_predicate);
-  if (ans == nullptr) {
-    finish();
-    return result;
-  }
+  if (ans == nullptr) return result;
 
   std::vector<Value> constants;
   for (uint32_t p : result.rewrite.bound_positions) {
@@ -93,10 +41,7 @@ StatusOr<CountingRunResult> EvaluateWithCounting(
   bool resolvable = false;
   std::vector<std::optional<Value>> query_constants =
       ResolveConstants(query, db->symbols(), &resolvable);
-  if (!resolvable) {
-    finish();
-    return result;
-  }
+  if (!resolvable) return result;
 
   std::vector<Value> full(query.arity());
   for (size_t r = 0; r < ans->size(); ++r) {
@@ -113,7 +58,6 @@ StatusOr<CountingRunResult> EvaluateWithCounting(
       result.answer.Add(Row(full.data(), full.size()));
     }
   }
-  finish();
   return result;
 }
 

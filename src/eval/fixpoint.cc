@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "datalog/analysis.h"
+#include "eval/engine_run.h"
 #include "eval/join_plan.h"
 #include "eval/trace.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace seprec {
 namespace {
@@ -59,32 +59,30 @@ struct StratumRuntime {
 class FixpointEngine {
  public:
   FixpointEngine(Database* db, const FixpointOptions& options,
-                 ExecutionContext* ctx, EvalStats* stats, bool seminaive)
+                 EvalStats* stats, bool seminaive)
       : db_(db),
         options_(options),
-        ctx_(ctx),
         stats_(stats),
         trace_(options.trace),
         seminaive_(seminaive) {}
 
   Status Run(const Program& program) {
-    WallTimer timer;
-    uint64_t polls_before = 0;
-    uint64_t attempts_before = 0;
-    uint64_t novel_before = 0;
-    if (trace_ != nullptr) {
-      // First-wins: nested engines sharing the caller's context no-op.
-      ctx_->SetTrace(trace_);
-      db_->counters().active = true;
-      polls_before = ctx_->polls();
-      attempts_before =
-          db_->counters().attempts.load(std::memory_order_relaxed);
-      novel_before = db_->counters().novel.load(std::memory_order_relaxed);
-      TraceEvent e;
-      e.kind = TraceEventKind::kEngineStart;
-      e.engine = engine_name();
-      trace_->Emit(e);
+    // `stats` may be shared with the caller, so engine_finish reports this
+    // run's own totals.
+    EngineRun run(engine_name(), options_, db_, stats_, [this] {
+      return EngineRun::Work{run_iterations_, run_tuples_};
+    });
+    ctx_ = run.ctx();
+    Status status = EvaluateStrata(program);
+    // Drop the internal delta relations, however the strata ended.
+    for (const std::string& name : delta_names_) {
+      db_->Drop(name);
     }
+    return run.Finish(status);
+  }
+
+ private:
+  Status EvaluateStrata(const Program& program) {
     SEPREC_ASSIGN_OR_RETURN(ProgramInfo info, ProgramInfo::Analyze(program));
 
     Status result = Status::OK();
@@ -112,34 +110,11 @@ class FixpointEngine {
         const Relation* rel = db_->Find(name);
         stats_->NoteRelation(name, rel == nullptr ? 0 : rel->size());
       }
-      stats_->seconds = timer.Seconds();
-      if (stats_->algorithm.empty()) {
-        stats_->algorithm = seminaive_ ? "seminaive" : "naive";
-      }
-    }
-    if (trace_ != nullptr) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kEngineFinish;
-      e.engine = engine_name();
-      e.seconds = timer.Seconds();
-      e.iterations = run_iterations_;
-      e.tuples = run_tuples_;
-      e.polls = ctx_->polls() - polls_before;
-      e.insert_attempts =
-          db_->counters().attempts.load(std::memory_order_relaxed) -
-          attempts_before;
-      e.insert_new = db_->counters().novel.load(std::memory_order_relaxed) -
-                     novel_before;
-      trace_->Emit(e);
-    }
-    // Drop the internal delta relations.
-    for (const std::string& name : delta_names_) {
-      db_->Drop(name);
+      if (stats_->algorithm.empty()) stats_->algorithm = engine_name();
     }
     return result;
   }
 
- private:
   StatusOr<StratumRuntime> PrepareStratum(const ProgramInfo& info, size_t s) {
     StratumRuntime stratum;
     std::set<std::string> scc(info.strata()[s].begin(),
@@ -571,7 +546,7 @@ class FixpointEngine {
 
   Database* db_;
   FixpointOptions options_;
-  ExecutionContext* ctx_;
+  ExecutionContext* ctx_ = nullptr;  // the run's context, set by Run
   EvalStats* stats_;
   TraceSink* trace_;
   bool seminaive_;
@@ -585,22 +560,12 @@ class FixpointEngine {
 
 Status EvaluateSemiNaive(const Program& program, Database* db,
                          const FixpointOptions& options, EvalStats* stats) {
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-  FixpointEngine engine(db, options, governor.ctx(), stats,
-                        /*seminaive=*/true);
-  SEPREC_RETURN_IF_ERROR(engine.Run(program));
-  return governor.ExitStatus();
+  return FixpointEngine(db, options, stats, /*seminaive=*/true).Run(program);
 }
 
 Status EvaluateNaive(const Program& program, Database* db,
                      const FixpointOptions& options, EvalStats* stats) {
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-  FixpointEngine engine(db, options, governor.ctx(), stats,
-                        /*seminaive=*/false);
-  SEPREC_RETURN_IF_ERROR(engine.Run(program));
-  return governor.ExitStatus();
+  return FixpointEngine(db, options, stats, /*seminaive=*/false).Run(program);
 }
 
 }  // namespace seprec

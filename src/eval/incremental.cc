@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "eval/engine_run.h"
 #include "eval/fixpoint.h"
 #include "eval/trace.h"
 #include "util/string_util.h"
@@ -17,50 +18,15 @@ std::string UpdateStats::ToString() const {
 
 namespace {
 
-// RAII pair of engine_start/engine_finish events around one update call.
-// Seconds and the counter totals are read at destruction time, after the
-// caller has finished filling `update`.
-class EngineTraceScope {
- public:
-  EngineTraceScope(TraceSink* trace, Database* db, const WallTimer* timer,
-                   const UpdateStats* update)
-      : trace_(trace), db_(db), timer_(timer), update_(update) {
-    if (trace_ == nullptr) return;
-    db_->counters().active = true;
-    attempts_before_ =
-        db_->counters().attempts.load(std::memory_order_relaxed);
-    novel_before_ = db_->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "incremental";
-    trace_->Emit(e);
-  }
-
-  ~EngineTraceScope() {
-    if (trace_ == nullptr) return;
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "incremental";
-    e.seconds = timer_->Seconds();
-    e.iterations = update_->iterations;
-    e.tuples = update_->inserted + update_->rederived;
-    e.insert_attempts =
-        db_->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before_;
-    e.insert_new =
-        db_->counters().novel.load(std::memory_order_relaxed) -
-        novel_before_;
-    trace_->Emit(e);
-  }
-
- private:
-  TraceSink* trace_;
-  Database* db_;
-  const WallTimer* timer_;
-  const UpdateStats* update_;
-  uint64_t attempts_before_ = 0;
-  uint64_t novel_before_ = 0;
-};
+// Opens the engine run of one AddFacts/RemoveFacts call. Its engine_finish
+// reports the update's delta rounds and inserted plus rederived tuples.
+EngineRun OpenUpdateRun(const FixpointOptions& options, Database* db,
+                        const UpdateStats* update) {
+  return EngineRun("incremental", options, db, /*stats=*/nullptr, [update] {
+    return EngineRun::Work{update->iterations,
+                           update->inserted + update->rederived};
+  });
+}
 
 void EmitRoundStart(TraceSink* trace, const char* phase, size_t round,
                     uint64_t delta) {
@@ -266,9 +232,10 @@ Status IncrementalEngine::PropagateInsertions() {
 
 Status IncrementalEngine::AddFacts(
     std::string_view relation, const std::vector<std::vector<Value>>& rows) {
-  WallTimer timer;
   last_update_ = UpdateStats();
-  EngineTraceScope scope(trace_, db_, &timer, &last_update_);
+  FixpointOptions options;
+  options.trace = trace_;
+  EngineRun run = OpenUpdateRun(options, db_, &last_update_);
   Relation* edb = nullptr;
   Relation* seed = nullptr;
   SEPREC_RETURN_IF_ERROR(
@@ -287,7 +254,7 @@ Status IncrementalEngine::AddFacts(
     db_->BumpGeneration();
     status = PropagateInsertions();
   }
-  last_update_.seconds = timer.Seconds();
+  last_update_.seconds = run.Seconds();
   return status;
 }
 
@@ -435,9 +402,10 @@ Status IncrementalEngine::RederiveAndCascade() {
 
 Status IncrementalEngine::RemoveFacts(
     std::string_view relation, const std::vector<std::vector<Value>>& rows) {
-  WallTimer timer;
   last_update_ = UpdateStats();
-  EngineTraceScope scope(trace_, db_, &timer, &last_update_);
+  FixpointOptions options;
+  options.trace = trace_;
+  EngineRun run = OpenUpdateRun(options, db_, &last_update_);
   Relation* edb = nullptr;
   Relation* seed = nullptr;
   SEPREC_RETURN_IF_ERROR(
@@ -455,14 +423,14 @@ Status IncrementalEngine::RemoveFacts(
     }
   }
   if (seed->empty()) {
-    last_update_.seconds = timer.Seconds();
+    last_update_.seconds = run.Seconds();
     return Status::OK();
   }
   db_->BumpGeneration();
   SEPREC_RETURN_IF_ERROR(
       OverdeleteAndErase(relation, seed, /*erase_edb=*/true));
   SEPREC_RETURN_IF_ERROR(RederiveAndCascade());
-  last_update_.seconds = timer.Seconds();
+  last_update_.seconds = run.Seconds();
   return Status::OK();
 }
 

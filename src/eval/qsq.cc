@@ -8,10 +8,10 @@
 #include "core/query.h"
 #include "core/support.h"
 #include "datalog/analysis.h"
+#include "eval/engine_run.h"
 #include "eval/join_plan.h"
 #include "eval/trace.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace seprec {
 namespace {
@@ -401,7 +401,6 @@ StatusOr<QsqrRunResult> EvaluateWithQsqr(const Program& program,
   QsqrRunResult result;
   result.answer = Answer(query.arity());
   result.stats.algorithm = "qsqr";
-  WallTimer timer;
 
   SEPREC_ASSIGN_OR_RETURN(ProgramInfo info, ProgramInfo::Analyze(program));
   const PredicateInfo* qpred = info.Find(query.predicate);
@@ -424,75 +423,26 @@ StatusOr<QsqrRunResult> EvaluateWithQsqr(const Program& program,
         StrCat("query predicate '", query.predicate,
                "' is aggregate/negation-defined; use semi-naive"));
   }
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (options.trace != nullptr) {
-    governor.ctx()->SetTrace(options.trace);
-    db->counters().active = true;
-    polls_before = governor.ctx()->polls();
-    attempts_before = db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "qsqr";
-    options.trace->Emit(e);
-  }
-  auto finish_trace = [&] {
-    if (options.trace == nullptr) return;
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "qsqr";
-    e.seconds = timer.Seconds();
-    e.iterations = result.stats.iterations;
-    e.tuples = result.stats.tuples_inserted;
-    e.polls = governor.ctx()->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new =
-        db->counters().novel.load(std::memory_order_relaxed) - novel_before;
-    options.trace->Emit(e);
-  };
-
+  EngineRun run("qsqr", options, db, &result.stats);
   if (!base_like.empty()) {
-    FixpointOptions governed = options;
-    governed.context = governor.ctx();
-    Status status = MaterializePredicates(program, base_like, db, governed,
-                                          &result.stats);
-    if (!status.ok()) {
-      finish_trace();
-      return status;
-    }
+    SEPREC_RETURN_IF_ERROR(MaterializePredicates(program, base_like, db,
+                                                 run.Nested(), &result.stats));
   }
 
   Program rectified = Rectify(program);
   QsqrEngine engine(rectified, info, db, base_like,
                     options.no_cbo ? JoinOrderMode::kTextual
                                    : JoinOrderMode::kCostBased);
-  Status status = engine.Setup(query);
-  if (!status.ok()) {
-    finish_trace();
-    return status;
-  }
-  engine.Run(query, governor.ctx(), &result.stats,
+  SEPREC_RETURN_IF_ERROR(engine.Setup(query));
+  engine.Run(query, run.ctx(), &result.stats,
              StrCat(options.trace_phase_prefix, "pass"));
-  status = governor.ExitStatus();
-  if (!status.ok()) {
-    finish_trace();
-    return status;
-  }
+  SEPREC_RETURN_IF_ERROR(run.Finish());
   result.adorned = engine.AdornedKeys();
 
   const Relation* ans = db->Find(engine.query_ans_relation());
   if (ans != nullptr) {
     result.answer = SelectMatching(*ans, query, db->symbols());
   }
-  result.stats.seconds = timer.Seconds();
-  finish_trace();
   return result;
 }
 

@@ -2,9 +2,7 @@
 
 #include "core/query.h"
 #include "core/support.h"
-#include "eval/trace.h"
-#include "util/string_util.h"
-#include "util/timer.h"
+#include "eval/engine_run.h"
 
 namespace seprec {
 
@@ -12,10 +10,6 @@ StatusOr<MagicRunResult> EvaluateWithMagic(const Program& program,
                                            const Atom& query, Database* db,
                                            const FixpointOptions& options,
                                            const MagicOptions& magic_options) {
-  // Time the whole engine call — transform, support materialisation, the
-  // rewritten fixpoint, and the answer harvest — so stats.seconds is not
-  // just the last nested fixpoint's clock (which used to overwrite it).
-  WallTimer timer;
   MagicRunResult result;
   result.answer = Answer(query.arity());
   SEPREC_ASSIGN_OR_RETURN(result.rewrite,
@@ -27,71 +21,21 @@ StatusOr<MagicRunResult> EvaluateWithMagic(const Program& program,
   for (const std::string& pred : AggregatePredicates(program)) {
     base_like.insert(pred);
   }
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-  FixpointOptions governed = options;
-  governed.context = governor.ctx();
-  governed.trace_phase_prefix = StrCat(options.trace_phase_prefix, "magic/");
-
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (options.trace != nullptr) {
-    governor.ctx()->SetTrace(options.trace);
-    db->counters().active = true;
-    polls_before = governor.ctx()->polls();
-    attempts_before = db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "magic";
-    options.trace->Emit(e);
-  }
-  auto finish_trace = [&] {
-    if (options.trace == nullptr) return;
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "magic";
-    e.seconds = timer.Seconds();
-    e.iterations = result.stats.iterations;
-    e.tuples = result.stats.tuples_inserted;
-    e.polls = governor.ctx()->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new =
-        db->counters().novel.load(std::memory_order_relaxed) - novel_before;
-    options.trace->Emit(e);
-  };
-
+  EngineRun run("magic", options, db, &result.stats);
+  FixpointOptions nested = run.Nested("magic/");
   if (!base_like.empty()) {
-    Status status = MaterializePredicates(program, base_like, db, governed,
-                                          &result.stats);
-    if (!status.ok()) {
-      finish_trace();
-      return status;
-    }
-  }
-  Status status = EvaluateSemiNaive(result.rewrite.program, db, governed,
-                                    &result.stats);
-  if (!status.ok()) {
-    finish_trace();
-    return status;
+    SEPREC_RETURN_IF_ERROR(MaterializePredicates(program, base_like, db,
+                                                 nested, &result.stats));
   }
   // Legacy (ungoverned) callers see a trip as an error here, before the
   // answer harvest; governed callers get the partial answer back.
-  status = governor.ExitStatus();
-  if (!status.ok()) {
-    finish_trace();
-    return status;
-  }
+  SEPREC_RETURN_IF_ERROR(run.Finish(EvaluateSemiNaive(
+      result.rewrite.program, db, nested, &result.stats)));
   const Relation* answers = db->Find(result.rewrite.answer_predicate);
   if (answers != nullptr) {
     result.answer = SelectMatching(*answers, result.rewrite.rewritten_query,
                                    db->symbols());
   }
-  result.stats.seconds = timer.Seconds();
-  finish_trace();
   return result;
 }
 

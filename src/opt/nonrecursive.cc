@@ -1,25 +1,23 @@
 #include "opt/nonrecursive.h"
 
-#include <atomic>
 #include <string>
 #include <vector>
 
 #include "datalog/analysis.h"
+#include "eval/engine_run.h"
 #include "eval/join_plan.h"
 #include "eval/trace.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace seprec {
 
 namespace {
-
 constexpr char kEngineName[] = "nonrecursive";
+}  // namespace
 
-Status RunNonRecursive(const Program& program, Database* db,
-                       const FixpointOptions& options, ExecutionContext* ctx,
-                       EvalStats* stats) {
-  WallTimer timer;
+Status EvaluateNonRecursive(const Program& program, Database* db,
+                            const FixpointOptions& options,
+                            EvalStats* stats) {
   SEPREC_ASSIGN_OR_RETURN(ProgramInfo info, ProgramInfo::Analyze(program));
   for (const auto& [name, pred] : info.predicates()) {
     if (pred.is_recursive) {
@@ -36,25 +34,13 @@ Status RunNonRecursive(const Program& program, Database* db,
     }
   }
 
+  // No fixpoint rounds run: engine_finish reports zero iterations.
+  size_t run_tuples = 0;
+  EngineRun run(kEngineName, options, db, stats,
+                [&run_tuples] { return EngineRun::Work{0, run_tuples}; });
+  ExecutionContext* ctx = run.ctx();
   TraceSink* trace = options.trace;
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (trace != nullptr) {
-    ctx->SetTrace(trace);
-    db->counters().active = true;
-    polls_before = ctx->polls();
-    attempts_before =
-        db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = kEngineName;
-    trace->Emit(e);
-  }
-
   const bool measuring = stats != nullptr || trace != nullptr;
-  uint64_t run_tuples = 0;
   Status result = Status::OK();
   // Each stratum of a recursion-free program is one predicate whose rules
   // read strictly lower strata, so a single pass per rule in stratum order
@@ -120,37 +106,9 @@ Status RunNonRecursive(const Program& program, Database* db,
       const Relation* rel = db->Find(name);
       stats->NoteRelation(name, rel == nullptr ? 0 : rel->size());
     }
-    stats->seconds = timer.Seconds();
     if (stats->algorithm.empty()) stats->algorithm = kEngineName;
   }
-  if (trace != nullptr) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = kEngineName;
-    e.seconds = timer.Seconds();
-    e.iterations = 0;  // the headline: no fixpoint rounds ran
-    e.tuples = run_tuples;
-    e.polls = ctx->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new = db->counters().novel.load(std::memory_order_relaxed) -
-                   novel_before;
-    trace->Emit(e);
-  }
-  return result;
-}
-
-}  // namespace
-
-Status EvaluateNonRecursive(const Program& program, Database* db,
-                            const FixpointOptions& options,
-                            EvalStats* stats) {
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-  SEPREC_RETURN_IF_ERROR(
-      RunNonRecursive(program, db, options, governor.ctx(), stats));
-  return governor.ExitStatus();
+  return run.Finish(result);
 }
 
 }  // namespace seprec

@@ -8,12 +8,12 @@
 
 #include "core/query.h"
 #include "core/support.h"
+#include "eval/engine_run.h"
 #include "eval/join_plan.h"
 #include "eval/trace.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace seprec {
 
@@ -761,25 +761,7 @@ StatusOr<SeparableRunResult> EvaluateWithSeparable(
   SeparableRunResult result;
   result.answer = Answer(query.arity());
   result.stats.algorithm = "separable";
-  WallTimer timer;
-
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (options.trace != nullptr) {
-    governor.ctx()->SetTrace(options.trace);
-    db->counters().active = true;
-    polls_before = governor.ctx()->polls();
-    attempts_before = db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "separable";
-    options.trace->Emit(e);
-  }
+  EngineRun run("separable", options, db, &result.stats);
 
   // Intern the query constants so seeds have concrete Values (a fresh
   // symbol simply matches nothing).
@@ -787,33 +769,14 @@ StatusOr<SeparableRunResult> EvaluateWithSeparable(
     if (arg.kind == Term::Kind::kSymbol) db->symbols().Intern(arg.name);
   }
 
-  FixpointOptions governed = options;
-  governed.context = governor.ctx();
   SEPREC_RETURN_IF_ERROR(MaterializeSupport(program, sep.predicate(), db,
-                                            governed, &result.stats));
-  Status status =
-      EvaluateSelection(program, sep, query, db, governor.ctx(),
+                                            run.Nested(), &result.stats));
+  SEPREC_RETURN_IF_ERROR(
+      EvaluateSelection(program, sep, query, db, run.ctx(),
                         options.no_cbo ? JoinOrderMode::kTextual
                                        : JoinOrderMode::kCostBased,
-                        &result);
-  result.stats.seconds = timer.Seconds();
-  if (options.trace != nullptr) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "separable";
-    e.seconds = result.stats.seconds;
-    e.iterations = result.stats.iterations;
-    e.tuples = result.stats.tuples_inserted;
-    e.polls = governor.ctx()->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new =
-        db->counters().novel.load(std::memory_order_relaxed) - novel_before;
-    options.trace->Emit(e);
-  }
-  if (!status.ok()) return status;
-  SEPREC_RETURN_IF_ERROR(governor.ExitStatus());
+                        &result));
+  SEPREC_RETURN_IF_ERROR(run.Finish());
   return result;
 }
 
@@ -964,25 +927,7 @@ StatusOr<SeparableRunResult> PreparedSeparable::Execute(
   SeparableRunResult result;
   result.answer = Answer(query.arity());
   result.stats.algorithm = "separable";
-  WallTimer timer;
-
-  GovernorScope governor(options.limits, options.cancel, options.context);
-  governor.ctx()->TrackMemory(&db->accountant());
-
-  uint64_t polls_before = 0;
-  uint64_t attempts_before = 0;
-  uint64_t novel_before = 0;
-  if (options.trace != nullptr) {
-    governor.ctx()->SetTrace(options.trace);
-    db->counters().active = true;
-    polls_before = governor.ctx()->polls();
-    attempts_before = db->counters().attempts.load(std::memory_order_relaxed);
-    novel_before = db->counters().novel.load(std::memory_order_relaxed);
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineStart;
-    e.engine = "separable";
-    options.trace->Emit(e);
-  }
+  EngineRun run("separable", options, db, &result.stats);
 
   // Intern the query constants so seeds have concrete Values (a fresh
   // symbol simply matches nothing).
@@ -990,52 +935,31 @@ StatusOr<SeparableRunResult> PreparedSeparable::Execute(
     if (arg.kind == Term::Kind::kSymbol) db->symbols().Intern(arg.name);
   }
 
-  FixpointOptions governed = options;
-  governed.context = governor.ctx();
-  Status status = MaterializeSupport(impl_->program, impl_->sep.predicate(),
-                                     db, governed, &result.stats);
-  if (status.ok()) {
-    bool resolvable = false;
-    std::vector<std::optional<Value>> query_constants =
-        ResolveConstants(query, db->symbols(), &resolvable);
-    SEPREC_CHECK(resolvable);  // all constants interned above
+  SEPREC_RETURN_IF_ERROR(MaterializeSupport(impl_->program,
+                                            impl_->sep.predicate(), db,
+                                            run.Nested(), &result.stats));
+  bool resolvable = false;
+  std::vector<std::optional<Value>> query_constants =
+      ResolveConstants(query, db->symbols(), &resolvable);
+  SEPREC_CHECK(resolvable);  // all constants interned above
 
-    const AnchorInfo& anchor = impl_->runner->anchor();
-    std::vector<Value> seed;
-    seed.reserve(anchor.anchor_positions.size());
-    for (uint32_t p : anchor.anchor_positions) {
-      seed.push_back(*query_constants[p]);
-    }
-
-    std::vector<std::vector<Value>> rest_rows;
-    impl_->runner->Run({seed}, governor.ctx(), &result.stats, &rest_rows,
-                       reuse, capture);
-    result.schema_runs = 1;
-    for (const std::vector<Value>& rest : rest_rows) {
-      EmitAnswer(anchor, Row(seed.data(), seed.size()),
-                 Row(rest.data(), rest.size()), query, query_constants,
-                 &result.answer);
-    }
+  const AnchorInfo& anchor = impl_->runner->anchor();
+  std::vector<Value> seed;
+  seed.reserve(anchor.anchor_positions.size());
+  for (uint32_t p : anchor.anchor_positions) {
+    seed.push_back(*query_constants[p]);
   }
 
-  result.stats.seconds = timer.Seconds();
-  if (options.trace != nullptr) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kEngineFinish;
-    e.engine = "separable";
-    e.seconds = result.stats.seconds;
-    e.iterations = result.stats.iterations;
-    e.tuples = result.stats.tuples_inserted;
-    e.polls = governor.ctx()->polls() - polls_before;
-    e.insert_attempts =
-        db->counters().attempts.load(std::memory_order_relaxed) -
-        attempts_before;
-    e.insert_new =
-        db->counters().novel.load(std::memory_order_relaxed) - novel_before;
-    options.trace->Emit(e);
+  std::vector<std::vector<Value>> rest_rows;
+  impl_->runner->Run({seed}, run.ctx(), &result.stats, &rest_rows, reuse,
+                     capture);
+  result.schema_runs = 1;
+  for (const std::vector<Value>& rest : rest_rows) {
+    EmitAnswer(anchor, Row(seed.data(), seed.size()),
+               Row(rest.data(), rest.size()), query, query_constants,
+               &result.answer);
   }
-  if (!status.ok()) return status;
-  SEPREC_RETURN_IF_ERROR(governor.ExitStatus());
+  SEPREC_RETURN_IF_ERROR(run.Finish());
   return result;
 }
 

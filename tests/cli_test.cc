@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/trace.h"
@@ -112,6 +113,66 @@ TEST(Cli, RunWithTraceWritesJsonLines) {
   EXPECT_TRUE(saw_finish);
   EXPECT_TRUE(saw_round);
   std::remove(trace_path.c_str());
+}
+
+// Writes `contents` to a file under the test temp dir; returns its path.
+std::string WriteTempFile(const std::string& name,
+                          const std::string& contents) {
+  std::string path = StrCat(::testing::TempDir(), "/", name);
+  std::ofstream(path) << contents;
+  return path;
+}
+
+TEST(Cli, TraceBalancedAcrossFallback) {
+  // The loaded 3-column `s` clashes with the 2-column support predicate, so
+  // Separable fails inside its run and the query falls back to Magic. Every
+  // engine that started — the failed one included — must still finish.
+  std::string program = WriteTempFile(
+      "cli_fallback.dl",
+      "s(X, Y) :- b(X, Y).\n"
+      "t(X, Y) :- s(X, Z) & t(Z, Y).\n"
+      "t(X, Y) :- t0(X, Y).\n"
+      "?- t(a, Y).\n");
+  std::string b = WriteTempFile("cli_fallback_b.tsv", "a\tb\n");
+  std::string t0 = WriteTempFile("cli_fallback_t0.tsv", "b\tc\n");
+  std::string s = WriteTempFile("cli_fallback_s.tsv", "x\ty\tz\n");
+  std::string trace_path =
+      StrCat(::testing::TempDir(), "/cli_fallback_trace.jsonl");
+  std::remove(trace_path.c_str());
+  CliResult r = RunCli(StrCat("run ", program, " --data b=", b,
+                              " --data t0=", t0, " --data s=", s,
+                              " --trace ", trace_path));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("(a, c)"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("via magic"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("note[G001]: separable strategy failed"),
+            std::string::npos)
+      << r.output;
+
+  std::ifstream trace(trace_path);
+  ASSERT_TRUE(trace.is_open()) << trace_path;
+  std::map<std::string, std::pair<int, int>> counts;  // engine -> start/finish
+  std::string line;
+  while (std::getline(trace, line)) {
+    for (const char* ev : {"engine_start", "engine_finish"}) {
+      std::string prefix = StrCat("\"ev\":\"", ev, "\",\"engine\":\"");
+      size_t at = line.find(prefix);
+      if (at == std::string::npos) continue;
+      at += prefix.size();
+      std::string engine = line.substr(at, line.find('"', at) - at);
+      if (std::string(ev) == "engine_start") {
+        ++counts[engine].first;
+      } else {
+        ++counts[engine].second;
+      }
+    }
+  }
+  std::map<std::string, std::pair<int, int>> expected = {
+      {"separable", {1, 1}}, {"seminaive", {2, 2}}, {"magic", {1, 1}}};
+  EXPECT_EQ(counts, expected);
+  for (const std::string& path : {program, b, t0, s, trace_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Cli, TraceToUnwritablePathFails) {

@@ -150,6 +150,26 @@ TEST(SemiNaive, DeltaRelationsAreDropped) {
   }
 }
 
+TEST(SemiNaive, DeltaRelationsAreDroppedWhenAStratumFails) {
+  // q's stratum fails to prepare (q already exists with arity 3) after the
+  // strata of p and r created their deltas.
+  Program p = ParseProgramOrDie(
+      "p(X, Y) :- e(X, Y).\n"
+      "p(X, Y) :- e(X, Z), p(Z, Y).\n"
+      "r(X, Y) :- p(X, Y).\n"
+      "q(X, Y) :- r(X, Y).");
+  Database db;
+  ASSERT_TRUE(db.AddFact("e", {"a", "b"}).ok());
+  ASSERT_TRUE(db.AddFact("q", {"a", "b", "c"}).ok());
+  Status status = EvaluateSemiNaive(p, &db);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "relation 'q' already exists with arity 3, requested 2");
+  for (const std::string& name : db.RelationNames()) {
+    EXPECT_NE(name.front(), '$') << name;
+  }
+}
+
 TEST(SemiNaive, NonRecursiveIdbEvaluatedOnce) {
   Program p = ParseProgramOrDie(
       "e(a, b). e(b, c).\n"

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiler.h"
@@ -19,6 +21,7 @@
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "magic/engine.h"
+#include "opt/nonrecursive.h"
 #include "separable/engine.h"
 
 namespace seprec {
@@ -261,6 +264,170 @@ TEST(TraceCoverage, IncrementalEmitsUpdatePhases) {
   EXPECT_TRUE(saw_insert);
   EXPECT_TRUE(saw_overdelete);
   EXPECT_TRUE(saw_rederive);
+}
+
+// ---- Failing engines still finish ------------------------------------------
+//
+// Each call below errors after its engine started: a relation it creates
+// already exists with another arity. The engine, and every engine nested in
+// it, must still emit one engine_finish per engine_start.
+
+void ExpectBalanced(const std::vector<TraceEvent>& events,
+                    const std::string& engine) {
+  std::map<std::string, std::pair<size_t, size_t>> counts;  // start, finish
+  for (const TraceEvent& e : events) {
+    if (e.kind == TraceEventKind::kEngineStart) ++counts[e.engine].first;
+    if (e.kind == TraceEventKind::kEngineFinish) ++counts[e.engine].second;
+  }
+  EXPECT_EQ(counts[engine].first, 1u) << engine;
+  for (const auto& [name, count] : counts) {
+    EXPECT_EQ(count.first, count.second)
+        << name << " started " << count.first << "x, finished "
+        << count.second << "x";
+  }
+}
+
+// q's stratum fails once the strata of p and r ran.
+Program IdbClashProgram() {
+  return ParseProgramOrDie(
+      "p(X, Y) :- e(X, Y).\n"
+      "p(X, Y) :- e(X, Z), p(Z, Y).\n"
+      "r(X, Y) :- p(X, Y).\n"
+      "q(X, Y) :- r(X, Y).");
+}
+
+void LoadIdbClash(Database* db) {
+  SEPREC_CHECK(db->AddFact("e", {"a", "b"}).ok());
+  SEPREC_CHECK(db->AddFact("q", {"a", "b", "c"}).ok());
+}
+
+// t is separable; its support predicate u clashes with a 3-column u. (The
+// compiled schema reads s, never u, so PreparedSeparable compiles.)
+Program SupportClashProgram() {
+  return ParseProgramOrDie(
+      "u(X, Y) :- b(X, Y).\n"
+      "s(X, Y) :- u(X, Y).\n"
+      "t(X, Y) :- s(X, Z), t(Z, Y).\n"
+      "t(X, Y) :- t0(X, Y).");
+}
+
+void LoadSupportClash(Database* db) {
+  SEPREC_CHECK(db->AddFact("b", {"a", "b"}).ok());
+  SEPREC_CHECK(db->AddFact("t0", {"b", "c"}).ok());
+  SEPREC_CHECK(db->AddFact("u", {"x", "y", "z"}).ok());
+}
+
+TEST(TraceFailure, SemiNaiveFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  LoadIdbClash(&db);
+  Status status = EvaluateSemiNaive(IdbClashProgram(), &db,
+                                    TracedOptions(&sink));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  ExpectBalanced(sink.Events(), "seminaive");
+}
+
+TEST(TraceFailure, NaiveFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  LoadIdbClash(&db);
+  Status status =
+      EvaluateNaive(IdbClashProgram(), &db, TracedOptions(&sink));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  ExpectBalanced(sink.Events(), "naive");
+}
+
+TEST(TraceFailure, SeparableFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  LoadSupportClash(&db);
+  auto result = EvaluateWithSeparable(SupportClashProgram(),
+                                      ParseAtomOrDie("t(a, Y)"), &db,
+                                      TracedOptions(&sink));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  ExpectBalanced(sink.Events(), "separable");
+}
+
+TEST(TraceFailure, PreparedSeparableFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  LoadSupportClash(&db);
+  Program program = SupportClashProgram();
+  Atom query = ParseAtomOrDie("t(a, Y)");
+  auto sep = AnalyzeSeparable(program, "t");
+  ASSERT_TRUE(sep.ok()) << sep.status().ToString();
+  auto prepared =
+      PreparedSeparable::Compile(program, *sep, query, &db, ParallelPolicy());
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto result = (*prepared)->Execute(query, TracedOptions(&sink));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  ExpectBalanced(sink.Events(), "separable");
+}
+
+TEST(TraceFailure, MagicFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 4);
+  SEPREC_CHECK(db.AddFact("tc_bf", {"x", "y", "z"}).ok());
+  auto result = EvaluateWithMagic(TransitiveClosureProgram(),
+                                  ParseAtomOrDie("tc(v0, Y)"), &db,
+                                  TracedOptions(&sink));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  ExpectBalanced(sink.Events(), "magic");
+}
+
+TEST(TraceFailure, CountingFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 4);
+  SEPREC_CHECK(db.AddFact("count_tc", {"x"}).ok());
+  auto result = EvaluateWithCounting(TransitiveClosureProgram(),
+                                     ParseAtomOrDie("tc(v0, Y)"), &db,
+                                     TracedOptions(&sink));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  ExpectBalanced(sink.Events(), "counting");
+}
+
+TEST(TraceFailure, QsqrFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  MakeChain(&db, "edge", "v", 4);
+  SEPREC_CHECK(db.AddFact("$qsq_in_tc_bf", {"x", "y", "z"}).ok());
+  auto result = EvaluateWithQsqr(TransitiveClosureProgram(),
+                                 ParseAtomOrDie("tc(v0, Y)"), &db,
+                                 TracedOptions(&sink));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  ExpectBalanced(sink.Events(), "qsqr");
+}
+
+TEST(TraceFailure, NonRecursiveFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  SEPREC_CHECK(db.AddFact("e", {"a", "b"}).ok());
+  SEPREC_CHECK(db.AddFact("q", {"a", "b", "c"}).ok());
+  Status status = EvaluateNonRecursive(
+      ParseProgramOrDie("r(X, Y) :- e(X, Y).\nq(X, Y) :- r(X, Y)."), &db,
+      TracedOptions(&sink));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  ExpectBalanced(sink.Events(), "nonrecursive");
+}
+
+TEST(TraceFailure, IncrementalFinishes) {
+  CollectingTraceSink sink;
+  Database db;
+  auto engine = IncrementalEngine::Create(TransitiveClosureProgram(), &db);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE(engine->Initialize().ok());
+  engine->set_trace(&sink);
+  // The row's arity does not match edge/2.
+  Status status = engine->AddFacts("edge", {{db.symbols().Intern("a")}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  ExpectBalanced(sink.Events(), "incremental");
 }
 
 // ---- Parallel invariance --------------------------------------------------

@@ -7,10 +7,12 @@ Checks, per line: parses as a JSON object, carries the envelope fields
 (v equal to the schema version JsonTraceSink emits, monotonically
 increasing seq, non-decreasing numeric t, known ev), and carries exactly
 the fields its event kind requires with the right JSON types (the schema
-in src/eval/trace.h). With --require-engine the file must additionally
-contain an engine_start, an engine_finish, and at least one round_end for
-that engine (the CI smoke query uses this to prove the traced path
-actually ran).
+in src/eval/trace.h). Across the file, every engine must have as many
+engine_finish events as engine_start events — counts, not nesting, since a
+served session interleaves the runs of concurrent requests. With
+--require-engine the file must additionally contain an engine_start, an
+engine_finish, and at least one round_end for that engine (the CI smoke
+query uses this to prove the traced path actually ran).
 
 Exit codes: 0 = valid, 1 = schema violation, 2 = usage/IO error.
 """
@@ -84,6 +86,7 @@ def main():
 
     errors = []
     seen = {}  # engine -> set of "start"/"finish"/"round"
+    runs = {}  # engine -> [engine_start count, engine_finish count]
     prev_seq = -1
     prev_t = -1.0
     for lineno, raw in enumerate(lines, 1):
@@ -127,13 +130,19 @@ def main():
             marks = seen.setdefault(engine, set())
             if ev == "engine_start":
                 marks.add("start")
+                runs.setdefault(engine, [0, 0])[0] += 1
             elif ev == "engine_finish":
                 marks.add("finish")
+                runs.setdefault(engine, [0, 0])[1] += 1
             elif ev == "round_end":
                 marks.add("round")
 
     if prev_seq < 0:
         errors.append("trace is empty")
+    for engine, (starts, finishes) in sorted(runs.items()):
+        if starts != finishes:
+            errors.append(f"engine '{engine}': {starts} engine_start but "
+                          f"{finishes} engine_finish event(s)")
     for engine in args.require_engine:
         missing = {"start", "finish", "round"} - seen.get(engine, set())
         if missing:

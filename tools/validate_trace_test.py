@@ -4,7 +4,8 @@
 Each test materialises a trace file in a temp dir and runs
 validate_trace.main() with patched argv, asserting on the exit code.
 Only the schema version the sink emits (5) is valid; every event kind
-must carry exactly its fields with the right types.
+must carry exactly its fields with the right types, and every engine must
+finish as many runs as it starts.
 """
 
 import importlib.util
@@ -179,6 +180,23 @@ class ValidateTraceTest(unittest.TestCase):
                          0)
         self.assertEqual(self.run_validate("--require-engine", "separable"),
                          1)
+
+    def test_orphan_engine_start_rejected(self):
+        orphan = dict(envelope(3, "engine_start"), engine="separable")
+        self.write_trace(engine_pair() + [orphan])
+        self.assertEqual(self.run_validate(), 1)
+
+    def test_interleaved_engines_that_balance_pass(self):
+        # Two served requests overlap: each engine's runs balance, though
+        # neither nests inside the other.
+        a = engine_pair(engine="separable")
+        b = engine_pair(engine="nonrecursive", seq0=3)
+        events = [a[0], b[0], a[1], b[1], a[2], b[2]]
+        for seq, event in enumerate(events):
+            event["seq"] = seq
+            event["t"] = float(seq)
+        self.write_trace(events)
+        self.assertEqual(self.run_validate(), 0)
 
     def test_empty_trace_rejected(self):
         self.trace_path.write_text("")
