@@ -1,6 +1,6 @@
 // Segment-storage costs (DESIGN.md section 15): merge join vs hash join
-// on segment-backed inputs, and mmap cold-start vs the text-snapshot
-// reload it replaces.
+// on segment-backed inputs, and mmap cold-start vs reloading the same
+// rows from TSV text.
 //
 //   merge_join   h(Y, Z) :- r(X, Y), s(X, Z). with both relations
 //                mmap-backed and ordered: the planner picks the merge
@@ -10,16 +10,17 @@
 //                scan r, build s's hash index, probe per binding —
 //                paying the index build plus bucket chasing on the
 //                duplicate keys
-//   mmap_load    LoadSnapshotFile over the v3 segment file: footer
+//   mmap_load    LoadSnapshotV3File over the v3 segment file: footer
 //                parse, page CRC sweep, relations attach mmapped —
 //                no per-tuple work at all
-//   v2_reload    LoadSnapshotFile over the equivalent v2 text snapshot:
-//                tokenise, intern, insert every tuple
+//   tsv_reload   LoadRelationTsv over the same rows as TSV text (built
+//                here with SaveRelationTsv): tokenise, classify,
+//                insert every tuple
 //
 // Both joins must produce bit-identical answers; the merge join must
 // beat the hash join by the acceptance margin (its inputs arrive
 // pre-sorted, so it skips the index build and the per-probe hashing),
-// and the mmap cold-start must beat the text reload outright. The
+// and the mmap cold-start must beat the TSV reload outright. The
 // segment files themselves must compress sequential-key data to under
 // half the raw row bytes — delta+varint coding is the point of the
 // page format.
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,9 +36,9 @@
 #include "datalog/parser.h"
 #include "eval/join_plan.h"
 #include "storage/database.h"
+#include "storage/io.h"
 #include "storage/segment/segment.h"
 #include "storage/segment/snapshot_v3.h"
-#include "storage/snapshot.h"
 #include "util/logging.h"
 
 namespace seprec {
@@ -98,7 +100,7 @@ void Run() {
   using bench::FmtSeconds;
 
   bench::Banner(
-      "Segment storage: merge vs hash join, mmap cold-start vs v2 reload\n"
+      "Segment storage: merge vs hash join, mmap cold-start vs TSV reload\n"
       "    r(X, Y) 200k rows, s(X, Z) 400k rows, 100k shared int keys");
 
   const std::string dir =
@@ -109,13 +111,18 @@ void Run() {
   std::filesystem::remove_all(dir);
   SEPREC_CHECK(std::filesystem::create_directories(dir));
   const std::string v3_path = StrCat(dir, "/db.v3");
-  const std::string v2_path = StrCat(dir, "/db.v2");
-
+  std::string r_tsv;
+  std::string s_tsv;
   {
     Database db;
     FillWorkload(&db);
     SEPREC_CHECK(SaveSnapshotV3File(db, v3_path).ok());
-    SEPREC_CHECK(SaveSnapshotFile(db, v2_path).ok());
+    std::ostringstream r_out;
+    std::ostringstream s_out;
+    SEPREC_CHECK(SaveRelationTsv(db, "r", r_out).ok());
+    SEPREC_CHECK(SaveRelationTsv(db, "s", s_out).ok());
+    r_tsv = r_out.str();
+    s_tsv = s_out.str();
   }
 
   // Compression gate: sequential keys must delta-code to well under the
@@ -124,7 +131,7 @@ void Run() {
   uint64_t raw_bytes = 0;
   {
     Database db;
-    SEPREC_CHECK(LoadSnapshotFile(&db, v3_path).ok());
+    SEPREC_CHECK(LoadSnapshotV3File(&db, v3_path).ok());
     for (const char* name : {"r", "s"}) {
       const Relation* rel = db.Find(name);
       SEPREC_CHECK(rel->base_segment() != nullptr);
@@ -148,14 +155,14 @@ void Run() {
     double hash_s = 0;
     {
       Database merge_db;
-      SEPREC_CHECK(LoadSnapshotFile(&merge_db, v3_path).ok());
+      SEPREC_CHECK(LoadSnapshotV3File(&merge_db, v3_path).ok());
       RulePlan plan = CompileJoin(&merge_db, /*allow_merge=*/true, "merge");
       WallTimer timer;
       out_rows = plan.CountDerivations();
       merge_s = timer.Seconds();
       if (rep == 0) {
         Database hash_db;
-        SEPREC_CHECK(LoadSnapshotFile(&hash_db, v3_path).ok());
+        SEPREC_CHECK(LoadSnapshotV3File(&hash_db, v3_path).ok());
         RulePlan hash_plan =
             CompileJoin(&hash_db, /*allow_merge=*/false, "hash");
         SEPREC_CHECK(Fingerprint(plan) == Fingerprint(hash_plan));
@@ -163,7 +170,7 @@ void Run() {
     }
     {
       Database hash_db;
-      SEPREC_CHECK(LoadSnapshotFile(&hash_db, v3_path).ok());
+      SEPREC_CHECK(LoadSnapshotV3File(&hash_db, v3_path).ok());
       RulePlan plan = CompileJoin(&hash_db, /*allow_merge=*/false, "hash");
       WallTimer timer;
       SEPREC_CHECK(plan.CountDerivations() == out_rows);
@@ -177,35 +184,38 @@ void Run() {
   double merge_s = merge_total / kReps;
   double hash_s = hash_total / kReps;
 
-  // mmap_load / v2_reload: the restart path with and without segments.
+  // mmap_load / tsv_reload: the restart path with and without segments.
   double mmap_total = 0;
-  double v2_total = 0;
+  double tsv_total = 0;
   size_t expected_tuples = 0;
   for (size_t rep = 0; rep <= kReps; ++rep) {
     {
       Database db;
       WallTimer timer;
-      SEPREC_CHECK(LoadSnapshotFile(&db, v3_path).ok());
+      SEPREC_CHECK(LoadSnapshotV3File(&db, v3_path).ok());
       double seconds = timer.Seconds();
       expected_tuples = db.TotalTuples();
       if (rep > 0) mmap_total += seconds;
     }
     {
       Database db;
+      std::istringstream r_in(r_tsv);
+      std::istringstream s_in(s_tsv);
       WallTimer timer;
-      SEPREC_CHECK(LoadSnapshotFile(&db, v2_path).ok());
+      SEPREC_CHECK(LoadRelationTsv(&db, "r", r_in).ok());
+      SEPREC_CHECK(LoadRelationTsv(&db, "s", s_in).ok());
       double seconds = timer.Seconds();
       SEPREC_CHECK(db.TotalTuples() == expected_tuples);
-      if (rep > 0) v2_total += seconds;
+      if (rep > 0) tsv_total += seconds;
     }
   }
   double mmap_s = mmap_total / kReps;
-  double v2_s = v2_total / kReps;
+  double tsv_s = tsv_total / kReps;
   std::filesystem::remove_all(dir);
 
   // Acceptance gates, held over time by the baseline comparison.
   SEPREC_CHECK(merge_s * 1.5 <= hash_s);
-  SEPREC_CHECK(mmap_s < v2_s);
+  SEPREC_CHECK(mmap_s < tsv_s);
 
   bench::Table table({"phase", "mean", "tuples/s", "note"});
   table.AddRow({"merge_join", FmtSeconds(merge_s),
@@ -215,9 +225,9 @@ void Run() {
                 Fmt(static_cast<size_t>(out_rows / hash_s)), "ablation"});
   table.AddRow({"mmap_load", FmtSeconds(mmap_s),
                 Fmt(static_cast<size_t>(expected_tuples / mmap_s)),
-                StrCat(Fmt(v2_s / mmap_s), "x vs v2")});
-  table.AddRow({"v2_reload", FmtSeconds(v2_s),
-                Fmt(static_cast<size_t>(expected_tuples / v2_s)),
+                StrCat(Fmt(tsv_s / mmap_s), "x vs TSV")});
+  table.AddRow({"tsv_reload", FmtSeconds(tsv_s),
+                Fmt(static_cast<size_t>(expected_tuples / tsv_s)),
                 "text path"});
   bench::Session::Get().Record("merge_join", merge_s, out_rows,
                                /*peak_bytes=*/0);
@@ -225,7 +235,7 @@ void Run() {
                                /*peak_bytes=*/0);
   bench::Session::Get().Record("mmap_load", mmap_s, expected_tuples,
                                /*peak_bytes=*/0);
-  bench::Session::Get().Record("v2_reload", v2_s, expected_tuples,
+  bench::Session::Get().Record("tsv_reload", tsv_s, expected_tuples,
                                /*peak_bytes=*/0);
   table.Print();
   bench::Note(StrCat("\n  segment data pages: ", segment_bytes,

@@ -28,6 +28,14 @@ std::string_view StrategyToString(Strategy strategy) {
   return "?";
 }
 
+StatusOr<Strategy> ParseStrategy(std::string_view name) {
+  for (int i = 0; i <= static_cast<int>(Strategy::kNaive); ++i) {
+    const Strategy strategy = static_cast<Strategy>(i);
+    if (StrategyToString(strategy) == name) return strategy;
+  }
+  return InvalidArgumentError(StrCat("unknown strategy '", name, "'"));
+}
+
 StatusOr<QueryProcessor> QueryProcessor::Create(
     Program program, const ProcessorOptions& options) {
   QueryProcessor qp;

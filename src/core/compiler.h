@@ -45,10 +45,13 @@ enum class Strategy {
   kNonRecursive,  // single-pass plan for recursion-free (e.g. de-recursed)
                   // programs: zero fixpoint rounds
   kSemiNaive,
-  kNaive,
+  kNaive,  // last: ParseStrategy iterates kAuto..kNaive
 };
 
 std::string_view StrategyToString(Strategy strategy);
+// The inverse of StrategyToString; any other name is InvalidArgument
+// "unknown strategy '<name>'".
+StatusOr<Strategy> ParseStrategy(std::string_view name);
 
 struct QueryResult {
   Answer answer{0};

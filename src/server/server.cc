@@ -48,18 +48,6 @@ json::Object Done(int64_t id) {
   return obj;
 }
 
-StatusOr<Strategy> ParseStrategyName(const std::string& name) {
-  if (name.empty() || name == "auto") return Strategy::kAuto;
-  if (name == "separable") return Strategy::kSeparable;
-  if (name == "magic") return Strategy::kMagic;
-  if (name == "counting") return Strategy::kCounting;
-  if (name == "qsqr") return Strategy::kQsqr;
-  if (name == "nonrecursive") return Strategy::kNonRecursive;
-  if (name == "seminaive") return Strategy::kSemiNaive;
-  if (name == "naive") return Strategy::kNaive;
-  return InvalidArgumentError(StrCat("unknown strategy '", name, "'"));
-}
-
 StatusOr<ExecutionLimits> ParseLimits(const json::Value& limits) {
   ExecutionLimits out;
   if (limits.is_null()) return out;
@@ -597,8 +585,11 @@ void SocketServer::HandleLine(const std::shared_ptr<Conn>& conn,
       reply->Error(id, InvalidArgumentError("'query' needs a 'program'"));
       return;
     }
-    StatusOr<Strategy> strategy =
-        ParseStrategyName(req.Get("strategy").as_string());
+    // A missing or empty "strategy" means auto.
+    const std::string& strategy_name = req.Get("strategy").as_string();
+    StatusOr<Strategy> strategy = strategy_name.empty()
+                                      ? Strategy::kAuto
+                                      : ParseStrategy(strategy_name);
     if (!strategy.ok()) {
       reply->Error(id, strategy.status());
       return;

@@ -13,6 +13,11 @@ Database::~Database() = default;
 
 StatusOr<Relation*> Database::CreateRelation(std::string_view name,
                                              size_t arity) {
+  if (name.size() > kMaxRelationNameBytes) {
+    return InvalidArgumentError(
+        StrCat("relation name of ", name.size(), " bytes exceeds the ",
+               kMaxRelationNameBytes, "-byte limit"));
+  }
   auto it = relations_.find(std::string(name));
   if (it != relations_.end()) {
     if (it->second->arity() != arity) {

@@ -19,6 +19,11 @@ namespace seprec {
 
 class StatsCatalog;
 
+// The longest relation name, in bytes. WAL records and v3 snapshot
+// footers store a name's length in a u16, so CreateRelation refuses a
+// longer name and WalWriter::Append refuses a batch that carries one.
+inline constexpr size_t kMaxRelationNameBytes = 0xFFFF;
+
 class Database {
  public:
   // Out-of-line: stats_ holds a forward-declared type, so the compiler
@@ -32,7 +37,8 @@ class Database {
   const SymbolTable& symbols() const { return symbols_; }
 
   // Creates relation `name` with the given arity, or returns the existing
-  // one (whose arity must match; mismatch is an error).
+  // one (whose arity must match; mismatch is an error). A name longer
+  // than kMaxRelationNameBytes is an error.
   StatusOr<Relation*> CreateRelation(std::string_view name, size_t arity);
 
   // Returns the relation or nullptr.

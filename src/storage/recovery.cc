@@ -11,7 +11,6 @@
 
 #include "storage/io.h"
 #include "storage/segment/snapshot_v3.h"
-#include "storage/snapshot.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -219,7 +218,7 @@ StatusOr<std::unique_ptr<DurableStorage>> DurableStorage::Open(
   // no tolerant degrade exists (there is no "prefix" of a snapshot).
   if (!m.snapshot.empty()) {
     const std::string snap_path = JoinPath(dir, m.snapshot);
-    if (Status s = LoadSnapshotFile(db, snap_path); !s.ok()) {
+    if (Status s = LoadSnapshotV3File(db, snap_path); !s.ok()) {
       return DataLossError(StrCat("snapshot '", snap_path,
                                   "' failed to load: ", s.message()));
     }
@@ -315,8 +314,7 @@ StatusOr<CheckpointInfo> DurableStorage::Checkpoint(const Database& db) {
   const uint64_t retired_bytes = wal_bytes();
 
   // 1. New snapshot, durably in place under its (not-yet-referenced)
-  // name, as a v3 segment file (atomic write-temp + rename); recovery
-  // sniffs the format, so older v1/v2 text snapshots still load.
+  // name, as a v3 segment file (atomic write-temp + rename).
   SEPREC_RETURN_IF_ERROR(SaveSnapshotV3File(db, snap_path));
 
   // 2. Fresh WAL for the new epoch. An orphan from an interrupted earlier

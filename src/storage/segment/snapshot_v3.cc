@@ -16,6 +16,7 @@ namespace {
 
 constexpr size_t kMagicSize = 8;
 constexpr size_t kTrailerSize = 16;  // u64 offset + u32 size + u32 crc
+static_assert(kMaxRelationNameBytes <= 0xFFFF, "names are u16-prefixed");
 
 void PutU16(std::string* out, uint16_t v) {
   out->push_back(static_cast<char>(v));
@@ -60,6 +61,14 @@ class FooterCursor {
     const uint8_t* b = Take(len);
     if (b == nullptr) return std::string();
     return std::string(reinterpret_cast<const char*>(b), len);
+  }
+
+  // True when `count` fields of `each` bytes fit in the bytes left. A
+  // count read from the file must pass this before it sizes a
+  // reservation or a loop, so a wild count cannot make the reader
+  // allocate.
+  bool Fits(uint64_t count, uint64_t each) const {
+    return ok_ && count <= static_cast<uint64_t>(end_ - p_) / each;
   }
 
   bool ok() const { return ok_; }
@@ -119,9 +128,7 @@ StatusOr<ParsedV3> ParseV3(const std::string& path) {
   FooterCursor c(data + footer_offset, footer_size);
 
   const uint64_t symbol_count = c.U64();
-  if (!c.ok() || symbol_count > footer_size) {
-    return FooterError(path, "symbol count");
-  }
+  if (!c.Fits(symbol_count, 4)) return FooterError(path, "symbol count");
   out.symbols.reserve(static_cast<size_t>(symbol_count));
   for (uint64_t i = 0; i < symbol_count; ++i) {
     const uint32_t len = c.U32();
@@ -139,6 +146,12 @@ StatusOr<ParsedV3> ParseV3(const std::string& path) {
     g.data_offset = c.U64();
     g.data_pages = c.U32();
     if (!c.ok() || g.name.empty()) return FooterError(path, "relation entry");
+    // Each page-directory entry (row start plus first row) and each
+    // per-column distinct count is made of 8-byte fields.
+    if (!c.Fits(uint64_t{g.data_pages} * (uint64_t{g.arity} + 1) + g.arity,
+                8)) {
+      return FooterError(path, "relation geometry");
+    }
     g.page_row_start.reserve(size_t{g.data_pages} + 1);
     for (uint32_t p = 0; p < g.data_pages; ++p) {
       g.page_row_start.push_back(c.U64());
@@ -149,6 +162,7 @@ StatusOr<ParsedV3> ParseV3(const std::string& path) {
     g.page_row_start.push_back(g.rows);
     g.agg_offset = c.U64();
     g.agg_pages = c.U32();
+    if (!c.Fits(g.agg_pages, 8)) return FooterError(path, "relation geometry");
     for (uint32_t p = 0; p < g.agg_pages; ++p) {
       g.agg_first_value.push_back(c.U64());
     }
@@ -202,7 +216,10 @@ Status SaveSnapshotV3(const Database& db, std::ostream& out) {
   uint64_t offset = kMagicSize;
   std::vector<SegmentGeometry> entries;
   for (const std::string& name : db.RelationNames()) {
-    // Same exclusion as the text writer: '$'-scratch is process-local.
+    // '$'-prefixed relations are engine scratch (semi-naive deltas, magic
+    // supports, DRed maintenance state): derivable, owned by live plan
+    // and closure objects, and keyed by per-process counters. Recovery
+    // rebuilds what it needs, so they are never persisted.
     if (!name.empty() && name[0] == '$') continue;
     const Relation* rel = db.Find(name);
     if (rel->arity() == 0 || rel->empty()) {
@@ -278,8 +295,8 @@ Status SaveSnapshotV3(const Database& db, std::ostream& out) {
 }  // namespace
 
 Status SaveSnapshotV3File(const Database& db, const std::string& path) {
-  // Write-temp + durable rename, exactly like the text writer, so a
-  // crash mid-save can never destroy the previous snapshot.
+  // Write-temp + durable rename: the previous snapshot at `path` stays
+  // intact until the replacement is fully on disk.
   SEPREC_RETURN_IF_ERROR(Failpoints::Check("snapshot.write"));
   const std::string tmp = StrCat(path, ".tmp");
   {

@@ -1,10 +1,10 @@
-// Snapshot format v3: relations as sorted, compressed, memory-mappable
-// segment files (see storage/segment/segment.h for the page format).
+// Snapshot format v3, the one at-rest format of a whole database:
+// relations as sorted, compressed, memory-mappable segment files (see
+// storage/segment/segment.h for the page format). Checkpoints write it
+// and recovery reads it; no other snapshot format loads.
 //
 // Layout of a v3 file:
-//   [0, 8)              magic "seprecS3" (text snapshots start with
-//                       "seprec-s" too — but the 8th byte differs, and
-//                       LoadSnapshotFile sniffs all eight)
+//   [0, 8)              magic "seprecS3"
 //   [8, footer_offset)  4 KiB pages: per relation (alphabetical), its
 //                       data pages then its aggregated pages
 //   [footer_offset, +footer_size)
@@ -35,21 +35,24 @@
 
 namespace seprec {
 
-// The 8-byte magic; LoadSnapshotFile dispatches on it.
+// The 8-byte magic every v3 file starts with.
 inline constexpr char kSnapshotV3Magic[8] = {'s', 'e', 'p', 'r',
                                              'e', 'c', 'S', '3'};
 
 // Writes every relation of `db` (alphabetically, skipping '$'-prefixed
 // engine scratch) to `path` as a v3 segment file, atomically: temp file,
-// fsync, durable rename — same crash discipline as SaveSnapshotFile, and
-// the same failpoints ("snapshot.write", "snapshot.save",
-// "snapshot.rename") so the crash harness exercises this path too.
+// fsync, durable rename, so a crash mid-save never destroys the previous
+// file at `path`. The failpoints "snapshot.write", "snapshot.save" and
+// "snapshot.rename" let the crash harness interrupt each step.
 Status SaveSnapshotV3File(const Database& db, const std::string& path);
 
 // Loads a v3 file into `db`: interns the stored symbols, then attaches
 // each relation's segment mmap-backed (or materialises, see above).
-// Bumps the data generation once at the end. A flipped byte anywhere in
-// a page fails up front with a DataLossError naming the page.
+// Bumps the data generation once at the end. A missing file is
+// NotFound; an empty file, or one too short for or without the v3 magic,
+// is InvalidArgument; a damaged trailer, footer or page fails up front
+// with a DataLossError (a page by its index). "snapshot.load" fires
+// first.
 Status LoadSnapshotV3File(Database* db, const std::string& path);
 
 // Compaction: re-seats every relation of `db` onto the segments of the

@@ -24,6 +24,10 @@ constexpr size_t kRecordHeaderSize = 8;  // u32 len + u32 crc
 // garbage (torn or corrupt), not a real record — without the cap a wild
 // length would make ReadWal try to slurp gigabytes.
 constexpr uint32_t kMaxRecordPayload = 1u << 30;
+// The smallest encoded cell: a tag byte and the u32 length of an empty
+// symbol. DecodeBatch bounds row_count x arity by the bytes left / this.
+constexpr size_t kMinCellBytes = 5;
+static_assert(kMaxRelationNameBytes <= 0xFFFF, "names are u16-prefixed");
 
 void PutU16(std::string* out, uint16_t v) {
   out->push_back(static_cast<char>(v & 0xFF));
@@ -109,8 +113,9 @@ std::string EncodeBatch(const TupleBatch& batch) {
 }
 
 // Decodes one payload; false means the bytes do not parse as a record
-// (only reachable when a CRC collision coincides with garbage, or a
-// future record type — both are treated as corruption by the caller).
+// (only reachable through garbage under a matching CRC, by collision or
+// by crafting, or a future record type — the caller treats each as
+// damage).
 bool DecodeBatch(const std::string& payload, TupleBatch* batch) {
   Cursor c{reinterpret_cast<const unsigned char*>(payload.data()),
            payload.size()};
@@ -126,6 +131,13 @@ bool DecodeBatch(const std::string& payload, TupleBatch* batch) {
   uint32_t arity = 0;
   uint32_t row_count = 0;
   if (!c.U32(&arity) || !c.U32(&row_count)) return false;
+  // Check the counts against the bytes left before they size anything:
+  // a count the payload cannot hold is damage, not a big batch. Append
+  // never writes arity 0, whose rows would take no bytes at all.
+  if (arity == 0 ||
+      uint64_t{row_count} * arity > c.left / kMinCellBytes) {
+    return false;
+  }
   batch->arity = arity;
   batch->rows.clear();
   batch->rows.reserve(row_count);
@@ -270,6 +282,19 @@ WalWriter::~WalWriter() {
 
 Status WalWriter::Append(const TupleBatch& batch) {
   SEPREC_RETURN_IF_ERROR(Failpoints::Check("wal.append"));
+  // EncodeBatch stores the name's length in a u16, and DecodeBatch
+  // refuses arity 0: refuse both here, before a byte is written.
+  if (batch.relation.size() > kMaxRelationNameBytes) {
+    return InvalidArgumentError(
+        StrCat("wal '", path_, "': relation name of ",
+               batch.relation.size(), " bytes exceeds the ",
+               kMaxRelationNameBytes, "-byte limit"));
+  }
+  if (batch.arity == 0) {
+    return InvalidArgumentError(
+        StrCat("wal '", path_, "': batch for relation '", batch.relation,
+               "' has arity 0"));
+  }
   std::string payload = EncodeBatch(batch);
   if (payload.size() > kMaxRecordPayload) {
     // Refusing here is what lets ReadWal treat an over-cap length field as

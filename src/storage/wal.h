@@ -11,8 +11,9 @@
 //
 //   u8  record type (1 = insert batch, 2 = delete batch; the two share
 //       the layout below — the type byte IS the BatchOp)
-//   u16 relation name length LE, name bytes
-//   u32 arity LE
+//   u16 relation name length LE, name bytes (so at most
+//       kMaxRelationNameBytes)
+//   u32 arity LE (at least 1)
 //   u32 row count LE
 //   per row, per cell: u8 tag (0 = symbol, 1 = int);
 //     int:    i64 value LE
@@ -75,6 +76,9 @@ class WalWriter {
 
   // Appends one record. Under FsyncPolicy::kAlways the record is fsynced
   // before returning — when Append returns OK the batch survives kill -9.
+  // A batch whose relation name exceeds kMaxRelationNameBytes, whose
+  // arity is 0, or which encodes above the record cap is refused with
+  // InvalidArgument before anything is written.
   Status Append(const TupleBatch& batch);
 
   // Forces everything appended so far to disk (kBatch's checkpoint hook;

@@ -17,10 +17,10 @@ const std::vector<std::string_view>& RegisteredSites() {
   static const std::vector<std::string_view> sites = {
       "io.load_tsv",         // LoadRelationTsv, per data line
       "io.save_tsv",         // SaveRelationTsv, before writing
-      "snapshot.load",       // LoadSnapshot, before parsing
-      "snapshot.save",       // SaveSnapshot, before writing
-      "snapshot.write",      // SaveSnapshotFile, before writing the temp file
-      "snapshot.rename",     // SaveSnapshotFile, temp written, before rename
+      "snapshot.load",       // LoadSnapshotV3File, before opening the file
+      "snapshot.save",       // SaveSnapshotV3File, before writing the pages
+      "snapshot.write",      // SaveSnapshotV3File, before opening the temp file
+      "snapshot.rename",     // SaveSnapshotV3File, temp durable, before rename
       "wal.open",            // WalWriter::Open, before open/create
       "wal.append",          // WalWriter::Append, before the record write
       "wal.fsync",           // WalWriter sync, record written, before fsync

@@ -219,6 +219,13 @@ TEST(Cli, BadLimitFlagIsUsageError) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
+TEST(Cli, UnknownStrategyIsUsageError) {
+  CliResult r = RunCli(StrCat("run ", Data("tc.dl"), " --strategy bogus"));
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown strategy 'bogus'"), std::string::npos)
+      << r.output;
+}
+
 TEST(Cli, RunWithForcedStrategyAndStats) {
   CliResult r = RunCli(StrCat("run ", Data("social.dl"),
                               " --strategy magic --stats"));

@@ -5,6 +5,7 @@
 #include "datalog/parser.h"
 #include "gen/generators.h"
 #include "gen/workloads.h"
+#include "util/string_util.h"
 
 namespace seprec {
 namespace {
@@ -161,6 +162,23 @@ TEST(QueryProcessor, StrategyToStringNames) {
   EXPECT_EQ(StrategyToString(Strategy::kSemiNaive), "seminaive");
   EXPECT_EQ(StrategyToString(Strategy::kNaive), "naive");
   EXPECT_EQ(StrategyToString(Strategy::kAuto), "auto");
+}
+
+TEST(QueryProcessor, ParseStrategyInvertsStrategyToString) {
+  for (Strategy s : {Strategy::kAuto, Strategy::kSeparable, Strategy::kMagic,
+                     Strategy::kCounting, Strategy::kQsqr,
+                     Strategy::kNonRecursive, Strategy::kSemiNaive,
+                     Strategy::kNaive}) {
+    StatusOr<Strategy> parsed = ParseStrategy(StrategyToString(s));
+    ASSERT_TRUE(parsed.ok()) << StrategyToString(s);
+    EXPECT_EQ(*parsed, s) << StrategyToString(s);
+  }
+  for (const char* name : {"bogus", "", "Magic", "?"}) {
+    StatusOr<Strategy> parsed = ParseStrategy(name);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(parsed.status().message(),
+              StrCat("unknown strategy '", name, "'"));
+  }
 }
 
 TEST(QueryProcessor, ExplainSeparableFullAndPartial) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "core/compiler.h"
@@ -11,7 +12,7 @@
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "storage/io.h"
-#include "storage/snapshot.h"
+#include "storage/segment/snapshot_v3.h"
 
 namespace seprec {
 namespace {
@@ -139,20 +140,30 @@ TEST_F(FailpointTest, SiteIoSaveTsv) {
 TEST_F(FailpointTest, SiteSnapshotSave) {
   Database db;
   MakeChain(&db, "edge", "v", 3);
-  ScopedFailpoint scoped("snapshot.save");
-  std::ostringstream out;
-  EXPECT_EQ(SaveSnapshot(db, out).code(), StatusCode::kInternal);
+  const std::string path = ::testing::TempDir() + "/seprec_fp_save.v3";
+  std::remove(path.c_str());
+  {
+    ScopedFailpoint scoped("snapshot.save");
+    EXPECT_EQ(SaveSnapshotV3File(db, path).code(), StatusCode::kInternal);
+  }
+  // The save failed before the rename, so nothing reached `path`.
+  Database restored;
+  EXPECT_EQ(LoadSnapshotV3File(&restored, path).code(),
+            StatusCode::kNotFound);
+  std::remove((path + ".tmp").c_str());
 }
 
 TEST_F(FailpointTest, SiteSnapshotLoad) {
   Database db;
   MakeChain(&db, "edge", "v", 3);
-  std::ostringstream out;
-  ASSERT_TRUE(SaveSnapshot(db, out).ok());
+  const std::string path = ::testing::TempDir() + "/seprec_fp_load.v3";
+  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
   ScopedFailpoint scoped("snapshot.load");
   Database restored;
-  std::istringstream in(out.str());
-  EXPECT_EQ(LoadSnapshot(&restored, in).code(), StatusCode::kInternal);
+  EXPECT_EQ(LoadSnapshotV3File(&restored, path).code(),
+            StatusCode::kInternal);
+  EXPECT_TRUE(restored.RelationNames().empty());
+  std::remove(path.c_str());
 }
 
 TEST_F(FailpointTest, SiteGovernorPollInjectsCancellation) {

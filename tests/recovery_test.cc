@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "storage/io.h"
+#include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
 
@@ -365,6 +367,43 @@ TEST_F(RecoveryTest, MissingSnapshotFileIsDataLoss) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(reopened.status().message().find("snapshot"), std::string::npos)
       << reopened.status().ToString();
+}
+
+// Recovery reads snapshot format v3 only. A MANIFEST naming a v1 or v2
+// text snapshot fails like any other unreadable snapshot, naming it.
+TEST_F(RecoveryTest, TextSnapshotNamedByManifestIsDataLoss) {
+  DurabilityOptions opts;
+  opts.fsync = FsyncPolicy::kOff;
+  {
+    Database db;
+    auto storage = DurableStorage::Open(dir_, &db, opts, nullptr);
+    ASSERT_TRUE(storage.ok());
+    LogAndApply(storage->get(), &db, MakeBatch("edge", 1));
+    ASSERT_TRUE((*storage)->Checkpoint(db).ok());
+  }
+  const std::string snapshot = StrCat(dir_, "/snapshot-2.seprec");
+  // The same edge as each text format wrote it, v2 with its row CRC.
+  char crc[9];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32c("s:v1\ts:v2\n"));
+  for (const std::string& text :
+       {std::string("seprec-snapshot v1\nrelation edge 2\ns:v1\ts:v2\n"
+                    "end\n"),
+        StrCat("seprec-snapshot v2\nrelation edge 2\ns:v1\ts:v2\n"
+               "tuples 1 crc ", crc, "\nend\n")}) {
+    {
+      std::ofstream out(snapshot, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    Database db;
+    auto reopened = DurableStorage::Open(dir_, &db, opts, nullptr);
+    ASSERT_FALSE(reopened.ok()) << text;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(reopened.status().message().find(snapshot), std::string::npos)
+        << reopened.status().ToString();
+    EXPECT_NE(reopened.status().message().find("is not a v3 segment file"),
+              std::string::npos)
+        << reopened.status().ToString();
+  }
 }
 
 TEST_F(RecoveryTest, ShouldCheckpointTracksWalGrowth) {

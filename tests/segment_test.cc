@@ -1,6 +1,6 @@
 // Tests for the ordered, compressed, mmap-backed segment subsystem:
 // varint coding, the page builder/decoder roundtrip, snapshot v3
-// save/load (including v1/v2 back-compat and corruption reporting), the
+// save/load (bit-identical rows and page corruption reporting), the
 // relation delta layer over a base segment, ordered cursors, the
 // accountant exemption for file-backed bytes, and the merge-join path
 // producing bit-identical answers to the hash path.
@@ -24,7 +24,6 @@
 #include "storage/segment/segment.h"
 #include "storage/segment/snapshot_v3.h"
 #include "storage/segment/varint.h"
-#include "storage/snapshot.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
 
@@ -223,52 +222,6 @@ TEST_F(SegmentTest, SnapshotV3RoundTripBitIdentical) {
       EXPECT_TRUE(got->base_segment()->mmapped());
     }
   }
-}
-
-TEST_F(SegmentTest, TextSnapshotsLoadIdenticalToV3) {
-  Database db;
-  ASSERT_TRUE(db.AddFact("edge", {"a", "b"}).ok());
-  ASSERT_TRUE(db.AddFact("edge", {"b", "c"}).ok());
-  Relation* n = *db.CreateRelation("n", 1);
-  n->Insert({Value::Int(7)});
-  n->Insert({Value::Int(-3)});
-
-  const std::string v2_path = Path("db.v2");
-  const std::string v3_path = Path("db.v3");
-  ASSERT_TRUE(SaveSnapshotFile(db, v2_path).ok());  // text v2
-  ASSERT_TRUE(SaveSnapshotV3File(db, v3_path).ok());
-
-  // LoadSnapshotFile sniffs the magic: the same entry point must serve
-  // both formats, with identical resulting contents.
-  Database from_v2;
-  Database from_v3;
-  ASSERT_TRUE(LoadSnapshotFile(&from_v2, v2_path).ok());
-  ASSERT_TRUE(LoadSnapshotFile(&from_v3, v3_path).ok());
-  ASSERT_EQ(from_v2.RelationNames(), from_v3.RelationNames());
-  for (const std::string& name : from_v2.RelationNames()) {
-    EXPECT_EQ(from_v2.Find(name)->DebugString(from_v2.symbols()),
-              from_v3.Find(name)->DebugString(from_v3.symbols()))
-        << name;
-  }
-}
-
-TEST_F(SegmentTest, V1TextSnapshotStillLoads) {
-  const std::string path = Path("db.v1");
-  {
-    std::ofstream out(path);
-    out << "seprec-snapshot v1\n"
-        << "relation edge 2\n"
-        << "s:a\ts:b\n"
-        << "s:b\ts:c\n"
-        << "tuples 2\n"
-        << "end\n";
-    ASSERT_TRUE(out.good());
-  }
-  Database db;
-  ASSERT_TRUE(LoadSnapshotFile(&db, path).ok());
-  const Relation* edge = db.Find("edge");
-  ASSERT_NE(edge, nullptr);
-  EXPECT_EQ(edge->DebugString(db.symbols()), "edge(a, b)\nedge(b, c)\n");
 }
 
 TEST_F(SegmentTest, FlippedByteReportedAsCorruptPage) {

@@ -663,6 +663,32 @@ TEST_F(SocketServerTest, QueryStreamsResults) {
   EXPECT_TRUE(lines.back().Get("ok").as_bool());
 }
 
+TEST_F(SocketServerTest, StrategyNamesParseLikeTheCli) {
+  SocketClient client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  json::Object req;
+  req["op"] = json::Value("query");
+  req["id"] = json::Value(int64_t{1});
+  req["program"] = json::Value(std::string(kTcProgram));
+  req["query"] = json::Value("tc(a, X)");
+  req["strategy"] = json::Value("bogus");
+  client.Send(json::Serialize(json::Value(req)));
+  json::Value error = client.ReadLine();
+  EXPECT_EQ(error.Get("ev").as_string(), "error");
+  EXPECT_EQ(error.Get("message").as_string(), "unknown strategy 'bogus'");
+
+  // An empty name means auto, like a missing one; a known name is used.
+  for (const char* name : {"", "magic"}) {
+    req["id"] = json::Value(int64_t{2});
+    req["strategy"] = json::Value(name);
+    client.Send(json::Serialize(json::Value(req)));
+    std::vector<json::Value> lines = client.ReadToDone();
+    ASSERT_TRUE(lines.back().Get("ok").as_bool()) << name;
+    EXPECT_EQ(lines[lines.size() - 2].Get("strategy").as_string(),
+              *name == '\0' ? "separable" : name);
+  }
+}
+
 TEST_F(SocketServerTest, LoadBumpsGenerationAndQueriesSeeIt) {
   SocketClient client(socket_path_);
   ASSERT_TRUE(client.connected());
@@ -771,6 +797,82 @@ TEST(SocketServerDurability, InlineRowsATsvLineCannotCarryApplyNothing) {
     }
     server.Stop();
   }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(socket_path);
+}
+
+// WAL records and snapshot footers store a relation name's length in a
+// u16. A longer name must be refused before it is logged or created:
+// logged, it would fail every replay; created, every checkpoint.
+TEST(SocketServerDurability, OversizedNamesAreRefusedAndTheDirRecovers) {
+  const std::string dir =
+      StrCat(::testing::TempDir(), "/seprec_srv_names_",
+             static_cast<unsigned long>(::getpid()));
+  std::filesystem::remove_all(dir);
+  const std::string socket_path = dir + ".sock";
+  const std::string long_name(70000, 'r');
+  {
+    Database db;
+    DurabilityOptions durability;
+    durability.fsync = FsyncPolicy::kOff;
+    auto storage = DurableStorage::Open(dir, &db, durability, nullptr);
+    ASSERT_TRUE(storage.ok()) << storage.status().ToString();
+    ServiceOptions options;
+    options.storage = storage->get();
+    QueryService service(&db, options);
+    SocketServer server(&service);
+    ASSERT_TRUE(server.Start(socket_path).ok());
+    SocketClient client(socket_path);
+    ASSERT_TRUE(client.connected());
+
+    client.Send(
+        R"({"op":"load","id":1,"relation":"edge","rows":[["a","b"]]})");
+    ASSERT_TRUE(client.ReadLine().Get("ok").as_bool());
+    const uint64_t generation = db.generation();
+    const uint64_t wal_bytes = (*storage)->wal_bytes();
+    const std::vector<std::string> names = db.RelationNames();
+
+    json::Object load;
+    load["op"] = json::Value("load");
+    load["id"] = json::Value(int64_t{2});
+    load["relation"] = json::Value(long_name);
+    load["rows"] = json::Value(json::Array{
+        json::Value(json::Array{json::Value("a"), json::Value("b")})});
+    client.Send(json::Serialize(json::Value(load)));
+    json::Value load_error = client.ReadLine();
+    EXPECT_EQ(load_error.Get("ev").as_string(), "error");
+    EXPECT_EQ(load_error.Get("code").as_string(), "INVALID_ARGUMENT");
+    EXPECT_EQ((*storage)->wal_bytes(), wal_bytes);
+    EXPECT_EQ(db.generation(), generation);
+    EXPECT_EQ(db.RelationNames(), names);
+
+    // A read-only query creates its IDB predicates' relations.
+    json::Object query;
+    query["op"] = json::Value("query");
+    query["id"] = json::Value(int64_t{3});
+    query["program"] =
+        json::Value(StrCat(long_name, "(X, Y) :- edge(X, Y).\n"));
+    query["query"] = json::Value(StrCat(long_name, "(a, Y)"));
+    client.Send(json::Serialize(json::Value(query)));
+    std::vector<json::Value> lines = client.ReadToDone();
+    EXPECT_EQ(lines.back().Get("ev").as_string(), "error");
+    EXPECT_EQ(lines.back().Get("code").as_string(), "INVALID_ARGUMENT");
+    EXPECT_EQ((*storage)->wal_bytes(), wal_bytes);
+    EXPECT_EQ(db.generation(), generation);
+    EXPECT_EQ(db.RelationNames(), names);
+
+    client.Send(R"({"op":"checkpoint","id":4})");
+    EXPECT_TRUE(client.ReadLine().Get("ok").as_bool());
+    server.Stop();
+  }
+  Database restored;
+  DurabilityOptions durability;
+  durability.fsync = FsyncPolicy::kOff;
+  auto storage = DurableStorage::Open(dir, &restored, durability, nullptr);
+  ASSERT_TRUE(storage.ok()) << storage.status().ToString();
+  ASSERT_EQ(restored.RelationNames(), std::vector<std::string>{"edge"});
+  EXPECT_EQ(restored.Find("edge")->size(), 1u);
+  storage->reset();
   std::filesystem::remove_all(dir);
   std::filesystem::remove(socket_path);
 }

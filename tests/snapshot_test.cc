@@ -1,294 +1,308 @@
-#include "storage/snapshot.h"
+// Tests for snapshot format v3 (storage/segment/snapshot_v3.h), the one
+// format checkpoints write and recovery reads: what round-trips, what is
+// never persisted, and how damaged or foreign files are refused.
+#include "storage/segment/snapshot_v3.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/generators.h"
+#include "util/crc32c.h"
 #include "util/failpoint.h"
+#include "util/string_util.h"
 
 namespace seprec {
 namespace {
 
-TEST(Snapshot, RoundTripMixedTypes) {
+class SnapshotV3Test : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Failpoints::DisarmAll();
+    dir_ = StrCat(::testing::TempDir(), "/seprec_snapshot_",
+                  ::testing::UnitTest::GetInstance()
+                      ->current_test_info()
+                      ->name());
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(std::filesystem::create_directories(dir_));
+  }
+  void TearDown() override {
+    Failpoints::DisarmAll();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::string Path(const std::string& file) const {
+    return StrCat(dir_, "/", file);
+  }
+
+  // Saves `db` and loads the file into `restored`.
+  void RoundTrip(const Database& db, Database* restored) {
+    const std::string path = Path("db.v3");
+    ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
+    Status loaded = LoadSnapshotV3File(restored, path);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  }
+
+  static std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  }
+  static void WriteBytes(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  std::string dir_;
+};
+
+void PutLe(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>(v >> (8 * i)));
+  }
+}
+
+// A v3 file around `footer`: magic, no pages, then the footer and a
+// trailer whose offsets and CRC are correct, so only the footer's own
+// fields can be wrong.
+std::string V3FileAround(const std::string& footer) {
+  std::string file(kSnapshotV3Magic, sizeof(kSnapshotV3Magic));
+  const uint64_t footer_offset = file.size();
+  file += footer;
+  PutLe(&file, footer_offset, 8);
+  PutLe(&file, footer.size(), 4);
+  PutLe(&file, Crc32c(footer), 4);
+  return file;
+}
+
+// A footer with no symbols and one relation "r" whose entry stops right
+// after its page count.
+std::string FooterDeclaring(uint32_t arity, uint32_t data_pages) {
+  std::string footer;
+  PutLe(&footer, 0, 8);  // symbol count
+  PutLe(&footer, 1, 4);  // relation count
+  PutLe(&footer, 1, 2);  // name length
+  footer += "r";
+  PutLe(&footer, arity, 4);
+  PutLe(&footer, 1, 8);  // rows
+  PutLe(&footer, sizeof(kSnapshotV3Magic), 8);  // data offset
+  PutLe(&footer, data_pages, 4);
+  return footer;
+}
+
+TEST_F(SnapshotV3Test, IntegerAndSymbolFortyTwoStayDistinct) {
   Database db;
   Relation* r = *db.CreateRelation("mixed", 3);
   r->Insert({db.symbols().Intern("tom"), Value::Int(42),
              db.symbols().Intern("42")});
-  r->Insert({db.symbols().Intern("with\ttab"), Value::Int(-7),
-             db.symbols().Intern("line\nbreak")});
-  ASSERT_TRUE(db.AddFact("plain", {"a", "b"}).ok());
-
-  std::ostringstream out;
-  ASSERT_TRUE(SaveSnapshot(db, out).ok());
-
   Database restored;
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadSnapshot(&restored, in).ok());
-
-  ASSERT_NE(restored.Find("mixed"), nullptr);
-  EXPECT_EQ(restored.Find("mixed")->size(), 2u);
-  EXPECT_EQ(restored.Find("plain")->size(), 1u);
-  // The integer 42 and the symbol "42" stay distinct.
-  Row row0 = restored.Find("mixed")->row(0);
-  EXPECT_TRUE(row0[1].is_int());
-  EXPECT_TRUE(row0[2].is_symbol());
-  EXPECT_EQ(restored.symbols().ToString(row0[2]), "42");
-  // Escaped symbols round-trip.
-  EXPECT_EQ(restored.Find("mixed")->DebugString(restored.symbols()),
-            db.Find("mixed")->DebugString(db.symbols()));
+  RoundTrip(db, &restored);
+  const Relation* mixed = restored.Find("mixed");
+  ASSERT_NE(mixed, nullptr);
+  ASSERT_EQ(mixed->size(), 1u);
+  mixed->ForEachRow([&](Row row) {
+    EXPECT_TRUE(row[1].is_int());
+    EXPECT_EQ(row[1].as_int(), 42);
+    ASSERT_TRUE(row[2].is_symbol());
+    EXPECT_EQ(restored.symbols().NameOf(row[2].symbol_id()), "42");
+  });
 }
 
-TEST(Snapshot, ZeroArityRelation) {
+TEST_F(SnapshotV3Test, SymbolsWithTabNewlineAndBackslashRoundTrip) {
   Database db;
-  Relation* p = *db.CreateRelation("flag", 0);
-  p->Insert(Row{});
-  std::ostringstream out;
-  ASSERT_TRUE(SaveSnapshot(db, out).ok());
+  const std::string tricky[] = {"with\ttab", "line\nbreak", "back\\slash",
+                                "\\t"};
+  Relation* r = *db.CreateRelation("s", 1);
+  for (const std::string& symbol : tricky) {
+    r->Insert({db.symbols().Intern(symbol)});
+  }
   Database restored;
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadSnapshot(&restored, in).ok());
+  RoundTrip(db, &restored);
+  ASSERT_NE(restored.Find("s"), nullptr);
+  EXPECT_EQ(restored.Find("s")->DebugString(restored.symbols()),
+            r->DebugString(db.symbols()));
+  for (const std::string& symbol : tricky) {
+    const Value v = restored.symbols().Intern(symbol);
+    EXPECT_TRUE(restored.Find("s")->Contains(Row(&v, 1))) << symbol;
+  }
+}
+
+TEST_F(SnapshotV3Test, PopulatedZeroArityRelationRoundTrips) {
+  Database db;
+  (*db.CreateRelation("flag", 0))->Insert(Row{});
+  Database restored;
+  RoundTrip(db, &restored);
   ASSERT_NE(restored.Find("flag"), nullptr);
+  EXPECT_EQ(restored.Find("flag")->arity(), 0u);
   EXPECT_EQ(restored.Find("flag")->size(), 1u);
 }
 
-TEST(Snapshot, EmptyRelationsPreserved) {
+TEST_F(SnapshotV3Test, EmptyRelationKeepsItsArity) {
   Database db;
   ASSERT_TRUE(db.CreateRelation("empty", 2).ok());
-  std::ostringstream out;
-  ASSERT_TRUE(SaveSnapshot(db, out).ok());
   Database restored;
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadSnapshot(&restored, in).ok());
+  RoundTrip(db, &restored);
   ASSERT_NE(restored.Find("empty"), nullptr);
   EXPECT_EQ(restored.Find("empty")->size(), 0u);
   EXPECT_EQ(restored.Find("empty")->arity(), 2u);
 }
 
-TEST(Snapshot, RejectsGarbage) {
+TEST_F(SnapshotV3Test, LongestRelationNameRoundTrips) {
   Database db;
-  std::istringstream bad1("not a snapshot\n");
-  EXPECT_FALSE(LoadSnapshot(&db, bad1).ok());
-  std::istringstream bad2("seprec-snapshot v1\ns:x\nend\n");
-  EXPECT_FALSE(LoadSnapshot(&db, bad2).ok());  // tuple before header
-  std::istringstream bad3(
-      "seprec-snapshot v1\nrelation r 1\nz:oops\nend\n");
-  EXPECT_FALSE(LoadSnapshot(&db, bad3).ok());  // bad tag
-  std::istringstream bad4("seprec-snapshot v1\nrelation r 1\ns:x\n");
-  EXPECT_FALSE(LoadSnapshot(&db, bad4).ok());  // truncated
-  std::istringstream bad5(
-      "seprec-snapshot v1\nrelation r 1\ns:x\ts:y\nend\n");
-  EXPECT_FALSE(LoadSnapshot(&db, bad5).ok());  // arity mismatch
-}
-
-TEST(Snapshot, TupleCountTrailerWrittenAndVerified) {
-  Database db;
-  MakeChain(&db, "edge", "v", 4);
-  std::ostringstream out;
-  ASSERT_TRUE(SaveSnapshot(db, out).ok());
-  // The writer declares the tuple count after each relation's rows so the
-  // reader can detect silent truncation.
-  EXPECT_NE(out.str().find("tuples 3"), std::string::npos) << out.str();
+  const std::string name(kMaxRelationNameBytes, 'r');
+  ASSERT_TRUE(db.AddFact(name, {"a", "b"}).ok());
   Database restored;
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadSnapshot(&restored, in).ok());
-  EXPECT_EQ(restored.Find("edge")->size(), 3u);
+  RoundTrip(db, &restored);
+  ASSERT_EQ(restored.RelationNames(), std::vector<std::string>{name});
+  EXPECT_EQ(restored.Find(name)->size(), 1u);
 }
 
-TEST(Snapshot, LegacyFormatWithoutTrailerStillLoads) {
-  std::istringstream in(
-      "seprec-snapshot v1\nrelation r 1\ns:x\ns:y\nend\n");
+TEST_F(SnapshotV3Test, ScratchRelationsAreNotPersisted) {
   Database db;
-  ASSERT_TRUE(LoadSnapshot(&db, in).ok());
-  EXPECT_EQ(db.Find("r")->size(), 2u);
-}
-
-TEST(Snapshot, TupleCountMismatchRejected) {
-  // A declared count that disagrees with the rows present means rows were
-  // lost (or injected) in transit.
-  std::istringstream in(
-      "seprec-snapshot v1\nrelation r 1\ns:x\ntuples 5\nend\n");
-  Database db;
-  Status status = LoadSnapshot(&db, in);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("declares 5 tuples, found 1"),
-            std::string::npos)
-      << status.ToString();
-  // Trailer before any relation header is also malformed.
-  std::istringstream orphan("seprec-snapshot v1\ntuples 0\nend\n");
-  EXPECT_FALSE(LoadSnapshot(&db, orphan).ok());
-  // Non-numeric count is malformed.
-  std::istringstream bad_count(
-      "seprec-snapshot v1\nrelation r 1\ns:x\ntuples lots\nend\n");
-  EXPECT_FALSE(LoadSnapshot(&db, bad_count).ok());
-}
-
-TEST(Snapshot, MissingEndTrailerReportsLineNumber) {
-  std::istringstream in("seprec-snapshot v1\nrelation r 1\ns:x\n");
-  Database db;
-  Status status = LoadSnapshot(&db, in);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("truncated at line 3"), std::string::npos)
-      << status.ToString();
-  EXPECT_NE(status.message().find("no 'end' marker"), std::string::npos);
-}
-
-TEST(Snapshot, TrailingGarbageAfterEndRejected) {
-  std::istringstream in(
-      "seprec-snapshot v1\nrelation r 1\ns:x\nend\ns:stowaway\n");
-  Database db;
-  Status status = LoadSnapshot(&db, in);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("line 5"), std::string::npos)
-      << status.ToString();
-  EXPECT_NE(status.message().find("trailing garbage"), std::string::npos);
-}
-
-TEST(Snapshot, FileRoundTrip) {
-  Database db;
-  MakeChain(&db, "edge", "v", 10);
-  const std::string path = ::testing::TempDir() + "/seprec_snapshot.txt";
-  ASSERT_TRUE(SaveSnapshotFile(db, path).ok());
+  ASSERT_TRUE(db.AddFact("edge", {"a", "b"}).ok());
+  ASSERT_TRUE(db.AddFact("$delta_tc", {"a", "b"}).ok());
+  ASSERT_TRUE(db.CreateRelation("$magic_empty", 1).ok());
   Database restored;
-  ASSERT_TRUE(LoadSnapshotFile(&restored, path).ok());
-  EXPECT_EQ(restored.Find("edge")->DebugString(restored.symbols()),
-            db.Find("edge")->DebugString(db.symbols()));
-  std::remove(path.c_str());
-  EXPECT_FALSE(LoadSnapshotFile(&restored, "/no/such/file").ok());
+  RoundTrip(db, &restored);
+  EXPECT_EQ(restored.RelationNames(), std::vector<std::string>{"edge"});
 }
 
-// ---------------------------------------------------------------------------
-// Corruption matrix: every damage pattern gets a deterministic verdict.
-
-namespace corruption {
-
-// A two-relation snapshot with known contents, as written by SaveSnapshot.
-std::string MakeSnapshotText() {
+TEST_F(SnapshotV3Test, TwoRandomGraphsRoundTrip) {
   Database db;
-  MakeChain(&db, "edge", "v", 5);
-  EXPECT_TRUE(db.AddFact("label", {"v0", "start"}).ok());
-  std::ostringstream out;
-  EXPECT_TRUE(SaveSnapshot(db, out).ok());
-  return out.str();
+  MakeRandomGraph(&db, "e1", "v", 50, 400, 1);
+  MakeRandomGraph(&db, "e2", "w", 50, 400, 2);
+  Database restored;
+  RoundTrip(db, &restored);
+  EXPECT_EQ(restored.TotalTuples(), db.TotalTuples());
+  for (const char* name : {"e1", "e2"}) {
+    EXPECT_EQ(restored.Find(name)->DebugString(restored.symbols()),
+              db.Find(name)->DebugString(db.symbols()))
+        << name;
+  }
 }
 
-}  // namespace corruption
-
-TEST(SnapshotCorruption, V2HeaderAndPerRelationCrcWritten) {
-  const std::string text = corruption::MakeSnapshotText();
-  EXPECT_EQ(text.rfind("seprec-snapshot v2\n", 0), 0u) << text;
-  EXPECT_NE(text.find(" crc "), std::string::npos) << text;
-}
-
-TEST(SnapshotCorruption, FlippedByteInRowBodyRejected) {
-  std::string text = corruption::MakeSnapshotText();
-  // Damage a symbol byte inside a row so the line still parses: "v1" ->
-  // "vA" is a valid symbol, only the CRC can catch it.
-  size_t pos = text.find("s:v1\ts:v2");
-  ASSERT_NE(pos, std::string::npos) << text;
-  text[pos + 3] = 'A';
-  Database db;
-  std::istringstream in(text);
-  Status status = LoadSnapshot(&db, in);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("checksum mismatch"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(SnapshotCorruption, FlippedByteInDeclaredCrcRejected) {
-  std::string text = corruption::MakeSnapshotText();
-  size_t pos = text.find(" crc ");
-  ASSERT_NE(pos, std::string::npos);
-  char& digit = text[pos + 5];
-  digit = digit == '0' ? '1' : '0';
-  Database db;
-  std::istringstream in(text);
-  Status status = LoadSnapshot(&db, in);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("checksum mismatch"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(SnapshotCorruption, DuplicateRelationHeaderRejected) {
-  std::istringstream in(
-      "seprec-snapshot v2\n"
-      "relation r 1\ns:x\ntuples 1\n"
-      "relation r 1\ns:y\ntuples 1\n"
-      "end\n");
-  Database db;
-  Status status = LoadSnapshot(&db, in);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("duplicate relation header 'r'"),
-            std::string::npos)
-      << status.ToString();
-}
-
-TEST(SnapshotCorruption, EmptyFileRejected) {
-  std::istringstream in("");
-  Database db;
-  Status status = LoadSnapshot(&db, in);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("missing snapshot header"),
-            std::string::npos)
-      << status.ToString();
-}
-
-TEST(SnapshotCorruption, TruncatedTailRejected) {
-  std::string text = corruption::MakeSnapshotText();
-  // Cut the file mid-way: the 'end' marker (and likely a trailer) is gone.
-  std::istringstream in(text.substr(0, text.size() / 2));
-  Database db;
-  EXPECT_FALSE(LoadSnapshot(&db, in).ok());
-}
-
-TEST(SnapshotCorruption, AtomicSaveLeavesOldFileOnFailure) {
+TEST_F(SnapshotV3Test, FailedRenameLeavesPreviousFileByteIdentical) {
   Database db;
   MakeChain(&db, "edge", "v", 3);
-  const std::string path = ::testing::TempDir() + "/seprec_atomic.snap";
-  ASSERT_TRUE(SaveSnapshotFile(db, path).ok());
+  const std::string path = Path("db.v3");
+  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
+  const std::string before = ReadBytes(path);
 
-  // A failure injected at the rename site must leave the previous
-  // snapshot byte-identical (the new bytes only ever hit `.tmp`).
-  std::string before;
-  {
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    before = buf.str();
-  }
+  // The replacement's bytes only ever reach `<path>.tmp`; a failure at
+  // the rename must leave the previous snapshot untouched.
   Database bigger;
   MakeChain(&bigger, "edge", "v", 100);
   {
     ScopedFailpoint fp("snapshot.rename", {});
-    EXPECT_FALSE(SaveSnapshotFile(bigger, path).ok());
+    EXPECT_FALSE(SaveSnapshotV3File(bigger, path).ok());
   }
-  std::string after;
-  {
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    after = buf.str();
-  }
-  EXPECT_EQ(before, after);
+  EXPECT_EQ(ReadBytes(path), before);
   Database restored;
-  ASSERT_TRUE(LoadSnapshotFile(&restored, path).ok());
+  ASSERT_TRUE(LoadSnapshotV3File(&restored, path).ok());
   EXPECT_EQ(restored.Find("edge")->size(), 2u);
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
 }
 
-TEST(Snapshot, LargeDatabase) {
+TEST_F(SnapshotV3Test, MissingFileIsNotFound) {
   Database db;
-  MakeRandomGraph(&db, "e1", "v", 50, 400, 1);
-  MakeRandomGraph(&db, "e2", "w", 50, 400, 2);
-  std::ostringstream out;
-  ASSERT_TRUE(SaveSnapshot(db, out).ok());
+  Status status = LoadSnapshotV3File(&db, Path("absent.v3"));
+  EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.ToString();
+}
+
+TEST_F(SnapshotV3Test, EmptyFileIsRefused) {
+  WriteBytes(Path("empty.v3"), "");
+  Database db;
+  Status status = LoadSnapshotV3File(&db, Path("empty.v3"));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_TRUE(db.RelationNames().empty());
+}
+
+TEST_F(SnapshotV3Test, TruncatedFileIsRefused) {
+  Database db;
+  MakeChain(&db, "edge", "v", 5);
+  const std::string path = Path("db.v3");
+  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
+  const std::string bytes = ReadBytes(path);
+  for (size_t keep : {size_t{4}, size_t{20}, bytes.size() / 2,
+                      bytes.size() - 1}) {
+    WriteBytes(path, bytes.substr(0, keep));
+    Database restored;
+    Status status = LoadSnapshotV3File(&restored, path);
+    EXPECT_TRUE(status.code() == StatusCode::kDataLoss ||
+                status.code() == StatusCode::kInvalidArgument)
+        << keep << ": " << status.ToString();
+  }
+}
+
+// A v1/v2 text snapshot, like anything else without the v3 magic, is
+// refused.
+TEST_F(SnapshotV3Test, TextSnapshotIsNotAV3File) {
+  const std::string path = Path("db.v2");
+  WriteBytes(path,
+             "seprec-snapshot v2\nrelation edge 2\ns:a\ts:b\n"
+             "tuples 1 crc 00000000\nend\n");
+  Database db;
+  Status status = LoadSnapshotV3File(&db, path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("is not a v3 segment file"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(db.RelationNames().empty());
+}
+
+TEST_F(SnapshotV3Test, FlippedFooterByteIsChecksumMismatch) {
+  Database db;
+  MakeChain(&db, "edge", "v", 5);
+  const std::string path = Path("db.v3");
+  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
+  std::string bytes = ReadBytes(path);
+  // The footer sits just before the 16-byte trailer; damage its last byte.
+  bytes[bytes.size() - 17] ^= 0x01;
+  WriteBytes(path, bytes);
   Database restored;
-  std::istringstream in(out.str());
-  ASSERT_TRUE(LoadSnapshot(&restored, in).ok());
-  EXPECT_EQ(restored.TotalTuples(), db.TotalTuples());
+  Status status = LoadSnapshotV3File(&restored, path);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("checksum mismatch"), std::string::npos)
+      << status.ToString();
+}
+
+// Counts in a footer whose CRC is correct must still be bounded by the
+// bytes that follow them before they size an allocation or a loop.
+TEST_F(SnapshotV3Test, WildFooterCountsAreDataLossNotAllocations) {
+  struct Case {
+    const char* what;
+    uint32_t arity;
+    uint32_t data_pages;
+  };
+  for (const Case& c : {Case{"data_pages", 2, 0xFFFFFFFFu},
+                        Case{"arity", 0xFFFFFFFFu, 0},
+                        Case{"both", 0xFFFFFFFFu, 0xFFFFFFFFu}}) {
+    const std::string path = Path("crafted.v3");
+    const std::string file = V3FileAround(FooterDeclaring(c.arity,
+                                                          c.data_pages));
+    EXPECT_LT(file.size(), 64u);
+    WriteBytes(path, file);
+    Database db;
+    Status status = LoadSnapshotV3File(&db, path);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+        << c.what << ": " << status.ToString();
+    EXPECT_NE(status.message().find("footer is corrupt"), std::string::npos)
+        << c.what << ": " << status.ToString();
+  }
+
+  // A symbol count the footer cannot hold is refused the same way.
+  std::string footer;
+  PutLe(&footer, uint64_t{1} << 40, 8);
+  PutLe(&footer, 0, 4);
+  WriteBytes(Path("symbols.v3"), V3FileAround(footer));
+  Database db;
+  Status status = LoadSnapshotV3File(&db, Path("symbols.v3"));
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
 }
 
 }  // namespace

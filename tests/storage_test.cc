@@ -303,6 +303,16 @@ TEST(Database, ArityMismatchRejected) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(Database, RelationNameLongerThanTheLimitRejected) {
+  Database db;
+  const std::string longest(kMaxRelationNameBytes, 'r');
+  ASSERT_TRUE(db.CreateRelation(longest, 1).ok());
+  StatusOr<Relation*> bad =
+      db.CreateRelation(std::string(kMaxRelationNameBytes + 1, 'r'), 1);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.RelationNames(), std::vector<std::string>{longest});
+}
+
 TEST(Database, AddFactInterns) {
   Database db;
   ASSERT_TRUE(db.AddFact("likes", {"ann", "bob"}).ok());

@@ -8,9 +8,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/io.h"
+#include "util/crc32c.h"
 
 namespace seprec {
 namespace {
@@ -82,7 +84,9 @@ TEST_F(WalTest, RoundTripPreservesTypesAndOffsets) {
   }
 }
 
-TEST_F(WalTest, ZeroArityAndEmptyBatchRoundTrip) {
+// A record's rows must take bytes, so the reader can bound its row count
+// by the payload; arity 0 is refused before it reaches the log.
+TEST_F(WalTest, EmptyBatchRoundTripsAndZeroArityIsRefused) {
   {
     auto writer = WalWriter::Open(path_, FsyncPolicy::kOff);
     ASSERT_TRUE(writer.ok());
@@ -90,7 +94,9 @@ TEST_F(WalTest, ZeroArityAndEmptyBatchRoundTrip) {
     flag.relation = "flag";
     flag.arity = 0;
     flag.rows.push_back({});
-    ASSERT_TRUE((*writer)->Append(flag).ok());
+    const uint64_t before = (*writer)->offset();
+    EXPECT_EQ((*writer)->Append(flag).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ((*writer)->offset(), before);
     TupleBatch empty;
     empty.relation = "nothing";
     empty.arity = 3;
@@ -98,11 +104,85 @@ TEST_F(WalTest, ZeroArityAndEmptyBatchRoundTrip) {
   }
   auto read = ReadWal(path_);
   ASSERT_TRUE(read.ok());
-  ASSERT_EQ(read->records.size(), 2u);
-  EXPECT_EQ(read->records[0].batch.arity, 0u);
-  EXPECT_EQ(read->records[0].batch.rows.size(), 1u);
-  EXPECT_EQ(read->records[1].batch.relation, "nothing");
-  EXPECT_TRUE(read->records[1].batch.rows.empty());
+  EXPECT_EQ(read->tail, WalTail::kClean);
+  ASSERT_EQ(read->records.size(), 1u);
+  EXPECT_EQ(read->records[0].batch.relation, "nothing");
+  EXPECT_EQ(read->records[0].batch.arity, 3u);
+  EXPECT_TRUE(read->records[0].batch.rows.empty());
+}
+
+// Names are stored with a u16 length: the longest one round-trips, and
+// one byte more is refused with the log left as it was.
+TEST_F(WalTest, OversizedRelationNameIsRefused) {
+  {
+    auto writer = WalWriter::Open(path_, FsyncPolicy::kOff);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(
+        (*writer)->Append(MakeBatch(std::string(kMaxRelationNameBytes, 'r'), 1))
+            .ok());
+  }
+  const std::string before = ReadFileBytes();
+  {
+    auto writer = WalWriter::Open(path_, FsyncPolicy::kOff);
+    ASSERT_TRUE(writer.ok());
+    Status status = (*writer)->Append(
+        MakeBatch(std::string(kMaxRelationNameBytes + 1, 'r'), 2));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_EQ((*writer)->offset(), before.size());
+  }
+  EXPECT_EQ(ReadFileBytes(), before);
+  auto read = ReadWal(path_);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->tail, WalTail::kClean);
+  ASSERT_EQ(read->records.size(), 1u);
+  EXPECT_EQ(read->records[0].batch.relation,
+            std::string(kMaxRelationNameBytes, 'r'));
+}
+
+// A 19-byte record whose CRC is correct but whose counts the payload
+// cannot hold: the decoder must refuse it before sizing anything, with
+// the usual verdicts — torn as the last record, corrupt before another.
+TEST_F(WalTest, WildCountsAreDecodeFailuresNotAllocations) {
+  auto put_u32 = [](std::string* out, uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out->push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  auto record = [&](uint32_t arity, uint32_t row_count) {
+    std::string payload("\x01\x00\x00", 3);  // insert, empty name
+    put_u32(&payload, arity);
+    put_u32(&payload, row_count);
+    std::string out;
+    put_u32(&out, static_cast<uint32_t>(payload.size()));
+    put_u32(&out, Crc32c(payload));
+    return out + payload;
+  };
+  ASSERT_TRUE(WalWriter::Open(path_, FsyncPolicy::kOff).ok());
+  const std::string header = ReadFileBytes();
+  ASSERT_EQ(header.size(), kWalHeaderSize);
+  // (arity, row count) pairs; arity 0 rows would take no bytes at all.
+  const std::pair<uint32_t, uint32_t> wild_counts[] = {
+      {0xFFFFFFFF, 0xFFFFFFFF}, {1, 0xFFFFFFFF}, {0xFFFFFFFF, 1},
+      {0, 0xFFFFFFFF}, {0, 0}};
+  for (const auto& [arity, rows] : wild_counts) {
+    const std::string wild = record(arity, rows);
+    ASSERT_EQ(wild.size(), 19u);
+    WriteFileBytes(header + wild);
+    auto read = ReadWal(path_);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->tail, WalTail::kTorn) << arity << " x " << rows;
+    EXPECT_TRUE(read->records.empty());
+    EXPECT_EQ(read->valid_end, kWalHeaderSize);
+    EXPECT_NE(read->detail.find("does not decode"), std::string::npos)
+        << read->detail;
+
+    WriteFileBytes(header + wild + record(1, 0));
+    read = ReadWal(path_);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->tail, WalTail::kCorrupt) << arity << " x " << rows;
+    EXPECT_TRUE(read->records.empty());
+  }
 }
 
 TEST_F(WalTest, EmptyFileIsTornAtZero) {

@@ -247,18 +247,7 @@ StatusOr<CommonFlags> ParseFlags(int argc, char** argv, int first) {
       continue;
     }
     if (arg == "--strategy" && i + 1 < argc) {
-      std::string name = argv[++i];
-      if (name == "auto") flags.strategy = Strategy::kAuto;
-      else if (name == "separable") flags.strategy = Strategy::kSeparable;
-      else if (name == "magic") flags.strategy = Strategy::kMagic;
-      else if (name == "counting") flags.strategy = Strategy::kCounting;
-      else if (name == "qsqr") flags.strategy = Strategy::kQsqr;
-      else if (name == "nonrecursive") flags.strategy = Strategy::kNonRecursive;
-      else if (name == "seminaive") flags.strategy = Strategy::kSemiNaive;
-      else if (name == "naive") flags.strategy = Strategy::kNaive;
-      else {
-        return InvalidArgumentError(StrCat("unknown strategy '", name, "'"));
-      }
+      SEPREC_ASSIGN_OR_RETURN(flags.strategy, ParseStrategy(argv[++i]));
       continue;
     }
     return InvalidArgumentError(StrCat("unknown flag '", arg, "'"));
