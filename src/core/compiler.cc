@@ -3,6 +3,7 @@
 #include "core/query.h"
 #include "counting/engine.h"
 #include "eval/qsq.h"
+#include "eval/selection_push.h"
 #include "magic/engine.h"
 #include "opt/nonrecursive.h"
 #include "opt/pass_manager.h"
@@ -270,8 +271,9 @@ Status QueryProcessor::RunStrategy(Strategy strategy, const Atom& query,
       // Materialise the query predicate (and only what it depends on),
       // then select.
       const PredicateInfo* pred = info_.Find(query.predicate);
+      const bool nonrecursive = strategy == Strategy::kNonRecursive;
       const bool seminaive = strategy == Strategy::kSemiNaive;
-      result->stats.algorithm = strategy == Strategy::kNonRecursive
+      result->stats.algorithm = nonrecursive
                                     ? "nonrecursive"
                                     : (seminaive ? "seminaive" : "naive");
       if (pred != nullptr && pred->is_idb) {
@@ -280,12 +282,19 @@ Status QueryProcessor::RunStrategy(Strategy strategy, const Atom& query,
         wanted.insert(query.predicate);
         Program focused;
         for (const Rule& rule : info_.program().rules) {
-          if (wanted.count(rule.head.predicate)) {
-            focused.rules.push_back(rule);
-          }
+          if (!wanted.count(rule.head.predicate)) continue;
+          // The single pass pushes the selection into the query
+          // predicate's rules (AU79): every position of a non-recursive
+          // predicate is stable, so each bound head variable becomes an
+          // indexed lookup instead of a copy of the whole union. A
+          // recursive program is refused by EvaluateNonRecursive below.
+          const bool pushed =
+              nonrecursive && rule.head.predicate == query.predicate;
+          focused.rules.push_back(
+              pushed ? SpecializeToSelection(rule, query) : rule);
         }
         Status status =
-            strategy == Strategy::kNonRecursive
+            nonrecursive
                 ? EvaluateNonRecursive(focused, db, options, &result->stats)
                 : (seminaive
                        ? EvaluateSemiNaive(focused, db, options,

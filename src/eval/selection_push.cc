@@ -1,6 +1,7 @@
 #include "eval/selection_push.h"
 
 #include <set>
+#include <string>
 
 #include "core/query.h"
 #include "core/support.h"
@@ -30,6 +31,27 @@ StatusOr<std::vector<uint32_t>> StablePositions(const Program& program,
   return stable;
 }
 
+Rule SpecializeToSelection(const Rule& rule, const Atom& query) {
+  // A constant cannot be the target of `V is E`, and binding the
+  // aggregated variable would change the aggregate itself.
+  std::set<std::string> assigned;
+  for (const Literal& lit : rule.body) {
+    if (lit.kind == Literal::Kind::kAssign) assigned.insert(lit.assign_var);
+  }
+  if (rule.aggregate.has_value()) assigned.insert(rule.aggregate->over_var);
+
+  Substitution push;
+  for (size_t p = 0; p < query.arity() && p < rule.head.arity(); ++p) {
+    const Term& arg = rule.head.args[p];
+    if (!query.args[p].IsConstant() || !arg.IsVar() ||
+        assigned.count(arg.name)) {
+      continue;
+    }
+    push.emplace(arg.name, query.args[p]);
+  }
+  return push.empty() ? rule : Substitute(rule, push);
+}
+
 StatusOr<SelectionPushResult> EvaluateWithSelectionPush(
     const Program& program, const Atom& query, Database* db,
     const FixpointOptions& options) {
@@ -44,7 +66,6 @@ StatusOr<SelectionPushResult> EvaluateWithSelectionPush(
                           StablePositions(program, query.predicate));
   std::set<uint32_t> stable_set(stable.begin(), stable.end());
 
-  Substitution push;
   size_t bound = 0;
   for (uint32_t p = 0; p < rec.arity; ++p) {
     if (!query.args[p].IsConstant()) continue;
@@ -54,7 +75,6 @@ StatusOr<SelectionPushResult> EvaluateWithSelectionPush(
           StrCat("position ", p, " of '", query.predicate,
                  "' is not stable; AU79 selection pushing does not apply"));
     }
-    push[rec.head_vars[p]] = query.args[p];
   }
   if (bound == 0) {
     return FailedPreconditionError("query has no selection to push");
@@ -77,7 +97,7 @@ StatusOr<SelectionPushResult> EvaluateWithSelectionPush(
   for (const std::vector<Rule>* rules :
        {&rec.recursive_rules, &rec.exit_rules}) {
     for (const Rule& rule : *rules) {
-      Rule specialised = Substitute(rule, push);
+      Rule specialised = SpecializeToSelection(rule, query);
       specialised.head = rename(specialised.head);
       for (Literal& lit : specialised.body) {
         if (lit.kind == Literal::Kind::kAtom) {

@@ -32,6 +32,16 @@ namespace seprec {
 StatusOr<std::vector<uint32_t>> StablePositions(const Program& program,
                                                 std::string_view predicate);
 
+// Specialises `rule`, one of the rules defining `query`'s predicate, to
+// the query's selection: each constant of `query` replaces the rule-head
+// variable at its position, in the head and the body alike. A variable
+// the rule assigns (`V is E`) or aggregates is left a variable, so the
+// rule stays general at that position and the caller's final selection
+// (SelectMatching) filters its output, as it does for a head constant
+// and for a head variable the query binds twice. Where `rule` is
+// recursive, every bound position must be stable (StablePositions).
+Rule SpecializeToSelection(const Rule& rule, const Atom& query);
+
 struct SelectionPushResult {
   Answer answer{0};
   EvalStats stats;

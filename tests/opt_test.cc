@@ -1,21 +1,32 @@
 // The static-analysis pass pipeline: pass verdicts, the boundedness
 // rewrite's correctness, the non-recursive evaluator's zero-round
 // contract, strategy recording through Prepare, and the pipeline-on/off
-// bit-identity guarantee (the ablation the optimisation is gated on).
+// guarantee of identical answers at no greater cost (the ablation the
+// optimisation is gated on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiler.h"
 #include "datalog/parser.h"
 #include "eval/fixpoint.h"
 #include "eval/trace.h"
+#include "gen/generators.h"
 #include "opt/nonrecursive.h"
 #include "opt/pass_manager.h"
 #include "server/service.h"
 #include "storage/database.h"
+#include "storage/io.h"
+#include "util/string_util.h"
+
+#ifndef SEPREC_TESTDATA_DIR
+#error "SEPREC_TESTDATA_DIR must be defined by the build"
+#endif
 
 namespace seprec {
 namespace {
@@ -45,6 +56,28 @@ constexpr const char* kTcProgram =
     "edge(c, d).\n"
     "tc(X, Y) :- edge(X, Y).\n"
     "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n";
+
+// The rules of tools/testdata/bounded.dl without its facts: p and q are
+// loaded as relations (LoadBoundedInstance), so a plan's cost is its own
+// and not fact compilation's.
+constexpr const char* kBoundedRules =
+    "t(X, Y) :- p(X, Y).\n"
+    "t(X, Y) :- q(X, Z) & t(Z, Y) & p(X, Y).\n";
+
+// ~50k random p rows and 5k random q rows over 50k nodes, plus p(a, b):
+// t(a, Y) has one answer, and a plan that copies p into t costs ~50k.
+void LoadBoundedInstance(Database* db) {
+  MakeRandomGraph(db, "p", "n", 50000, 50000, /*seed=*/11);
+  MakeRandomGraph(db, "q", "n", 50000, 5000, /*seed=*/12);
+  MakeFact(db, "p", {"a", "b"});
+}
+
+std::string ReadTestdata(const std::string& file) {
+  std::ifstream in(StrCat(SEPREC_TESTDATA_DIR, "/", file));
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
 
 std::string VerdictOf(const PipelineResult& result,
                       const std::string& pass) {
@@ -215,31 +248,109 @@ TEST(PreparePipeline, BoundedQueryCompilesToNonRecursivePlan) {
   EXPECT_TRUE(saw_zero_round_finish);
 }
 
-TEST(PreparePipeline, ResultsAreBitIdenticalWithPipelineOff) {
-  auto qp = QueryProcessor::Create(ParseProgramOrDie(kBoundedProgram));
+// The de-recursed plan pushes t(a, Y)'s constant into the union, so it
+// builds O(answer) tuples (Definition 4.2), not a copy of p. The
+// pipeline-off comparison below holds its answer to Separable's.
+TEST(PreparePipeline, DerecursedPlanBuildsOnlyTheAnswer) {
+  auto qp = QueryProcessor::Create(ParseProgramOrDie(kBoundedRules));
   ASSERT_TRUE(qp.ok());
-  for (const char* query : {"t(a, Y)", "t(X, Y)", "t(X, d)"}) {
-    Database db_on;
-    auto on = qp->Prepare(ParseAtomOrDie(query), &db_on);
-    ASSERT_TRUE(on.ok());
-    auto result_on = on->Execute(ParseAtomOrDie(query), &db_on, {}, nullptr,
-                                 nullptr, /*commit=*/false);
-    ASSERT_TRUE(result_on.ok());
+  const Atom query = ParseAtomOrDie("t(a, Y)");
 
-    Database db_off;
-    auto off = qp->Prepare(ParseAtomOrDie(query), &db_off, Strategy::kAuto,
-                           {}, /*run_pipeline=*/false);
-    ASSERT_TRUE(off.ok());
-    EXPECT_EQ(off->pass_report(), nullptr);
-    auto result_off = off->Execute(ParseAtomOrDie(query), &db_off, {},
-                                   nullptr, nullptr, /*commit=*/false);
-    ASSERT_TRUE(result_off.ok());
+  Database db;
+  LoadBoundedInstance(&db);
+  auto prepared = qp->Prepare(query, &db);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_EQ(prepared->strategy(), Strategy::kNonRecursive);
+  auto result = prepared->Execute(query, &db, {}, nullptr, nullptr,
+                                  /*commit=*/false);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->strategy, Strategy::kNonRecursive);
+  EXPECT_EQ(result->answer.ToStrings(db.symbols()),
+            (std::vector<std::string>{"(a, b)"}));
+  EXPECT_EQ(result->stats.tuples_inserted, result->answer.size());
+  EXPECT_LE(result->stats.max_relation_size, result->answer.size());
+}
 
-    auto rows_on = result_on->answer.ToStrings(db_on.symbols());
-    auto rows_off = result_off->answer.ToStrings(db_off.symbols());
-    std::sort(rows_on.begin(), rows_on.end());
-    std::sort(rows_off.begin(), rows_off.end());
-    EXPECT_EQ(rows_on, rows_off) << query;
+// One program of the pipeline-off comparison: its source (queries
+// included) and the TSVs or generated instance it runs over.
+struct PipelineCase {
+  std::string name;
+  std::string source;
+  std::vector<std::pair<std::string, std::string>> tsvs;  // relation, file
+  void (*load)(Database*);
+};
+
+std::vector<PipelineCase> PipelineCases() {
+  return {
+      {"inline bounded",
+       StrCat(kBoundedProgram, "?- t(a, Y).\n?- t(X, Y).\n?- t(X, d).\n"),
+       {},
+       nullptr},
+      {"bounded.dl", ReadTestdata("bounded.dl"), {}, nullptr},
+      {"lint_demo.dl", ReadTestdata("lint_demo.dl"), {}, nullptr},
+      {"nonlinear.dl", ReadTestdata("nonlinear.dl"), {}, nullptr},
+      {"social.dl", ReadTestdata("social.dl"), {}, nullptr},
+      {"tc.dl", ReadTestdata("tc.dl"), {{"edge", "edges.tsv"}}, nullptr},
+      {"wide.dl",
+       ReadTestdata("wide.dl"),
+       {{"big_a", "big_a.tsv"}, {"big_b", "big_b.tsv"}, {"link", "link.tsv"}},
+       nullptr},
+      {"50k bounded instance",
+       StrCat(kBoundedRules, "?- t(a, Y).\n"),
+       {},
+       LoadBoundedInstance},
+  };
+}
+
+// The pipeline never changes an answer, and never costs more: the
+// optimized plan inserts at most as many tuples as the plan the service
+// runs with "optimize": false.
+TEST(PreparePipeline, ResultsAreBitIdenticalWithPipelineOff) {
+  for (const PipelineCase& c : PipelineCases()) {
+    auto unit = ParseUnit(c.source);
+    ASSERT_TRUE(unit.ok()) << c.name << ": " << unit.status().ToString();
+    ASSERT_FALSE(unit->queries.empty()) << c.name;
+    auto qp = QueryProcessor::Create(unit->program);
+    ASSERT_TRUE(qp.ok()) << c.name;
+    auto load = [&c](Database* db) {
+      for (const auto& [relation, file] : c.tsvs) {
+        ASSERT_TRUE(LoadRelationTsvFile(
+                        db, relation,
+                        StrCat(SEPREC_TESTDATA_DIR, "/", file))
+                        .ok())
+            << file;
+      }
+      if (c.load != nullptr) c.load(db);
+    };
+    for (const Atom& query : unit->queries) {
+      const std::string label = StrCat(c.name, ": ", query.ToString());
+      Database db_on;
+      load(&db_on);
+      auto on = qp->Prepare(query, &db_on);
+      ASSERT_TRUE(on.ok()) << label;
+      auto result_on = on->Execute(query, &db_on, {}, nullptr, nullptr,
+                                   /*commit=*/false);
+      ASSERT_TRUE(result_on.ok()) << label;
+
+      Database db_off;
+      load(&db_off);
+      auto off = qp->Prepare(query, &db_off, Strategy::kAuto, {},
+                             /*run_pipeline=*/false);
+      ASSERT_TRUE(off.ok()) << label;
+      EXPECT_EQ(off->pass_report(), nullptr);
+      auto result_off = off->Execute(query, &db_off, {}, nullptr, nullptr,
+                                     /*commit=*/false);
+      ASSERT_TRUE(result_off.ok()) << label;
+
+      auto rows_on = result_on->answer.ToStrings(db_on.symbols());
+      auto rows_off = result_off->answer.ToStrings(db_off.symbols());
+      std::sort(rows_on.begin(), rows_on.end());
+      std::sort(rows_off.begin(), rows_off.end());
+      EXPECT_EQ(rows_on, rows_off) << label;
+      EXPECT_LE(result_on->stats.tuples_inserted,
+                result_off->stats.tuples_inserted)
+          << label << " via " << StrategyToString(result_on->strategy);
+    }
   }
 }
 
@@ -288,6 +399,32 @@ TEST(PreparePipeline, UnboundedRecursionStillUsesFixpointStrategies) {
 }
 
 // ---- QueryService integration -------------------------------------------
+
+// Y is the target of `Y is Z + 1`, so the pushed selection must leave it a
+// variable; the final selection then filters the general rule's output.
+TEST(ServicePipeline, ForcedNonRecursiveLeavesAssignedHeadVariables) {
+  Database db;
+  QueryService service(&db);
+  ServiceRequest req;
+  req.program =
+      "p(a, 1).\n"
+      "p(b, 4).\n"
+      "t(X, Y) :- p(X, Z) & Y is Z + 1.\n";
+  req.query = "t(X, 5)";
+  req.strategy = Strategy::kNonRecursive;
+  auto outcomes = service.Execute(req);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  ASSERT_EQ(outcomes->size(), 1u);
+  EXPECT_EQ((*outcomes)[0].result.strategy, Strategy::kNonRecursive);
+  EXPECT_EQ((*outcomes)[0].tuples, (std::vector<std::string>{"(b, 5)"}));
+
+  // So does an aggregated one; the single pass then refuses the
+  // aggregate instead of the substitution aborting the process.
+  req.program = "e(a, b).\nn(X, count(Y)) :- e(X, Y).\n";
+  req.query = "n(a, 1)";
+  auto refused = service.Execute(req);
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+}
 
 TEST(ServicePipeline, RecordsPassSummaryAndEmitsPassEvents) {
   CollectingTraceSink sink;

@@ -95,6 +95,20 @@ TEST(SelectionPush, SpecializedProgramIsExposed) {
   EXPECT_NE(text.find("b)"), std::string::npos) << text;
 }
 
+TEST(SelectionPush, LeavesAssignedHeadVariableGeneral) {
+  // The query binds Y, the target of `Y is Z + 1`: that rule stays
+  // general and the final selection filters its output.
+  Program p = ParseProgramOrDie(
+      "p(a, 1).\n"
+      "p(b, 4).\n"
+      "t(X, Y) :- p(X, Z) & Y is Z + 1.\n");
+  Database db;
+  auto run = EvaluateWithSelectionPush(p, ParseAtomOrDie("t(X, 5)"), &db);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->answer.ToStrings(db.symbols()),
+            (std::vector<std::string>{"(b, 5)"}));
+}
+
 TEST(SelectionPush, WorksThroughSupportIdb) {
   Program p = ParseProgramOrDie(
       "e(X, Y) :- raw(X, Y).\n"

@@ -43,8 +43,9 @@ without it the stream runs until the server closes the connection. A
 "dropped" push or --delta-timeout expiring exits 1 (the CI streaming
 smoke relies on both).
 
-Exit codes mirror the CLI: 0 success, 1 failure (or parallel mismatch),
-2 usage, 3 partial result / resource limit.
+Exit codes mirror the CLI: 0 success, 1 failure (or parallel mismatch,
+or a connection that closed before the reply's "done" line), 2 usage,
+3 partial result / resource limit.
 """
 
 import argparse
@@ -181,7 +182,12 @@ def run_subscribe(sock_path, request, expect_deltas, delta_timeout):
 
 
 def run_request(sock_path, request, want_stats):
-    """Returns (rendered_text, exit_code)."""
+    """Returns (rendered_text, exit_code).
+
+    The reply ends with a "done" (or "error") line; a connection that
+    closes before it, e.g. because the server died mid-request, is a
+    failure (exit code 1), not a short answer.
+    """
     out = []
     code = 0
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
@@ -190,6 +196,8 @@ def run_request(sock_path, request, want_stats):
         f.write(json.dumps(request) + "\n")
         f.flush()
         for line in f:
+            if not line.endswith("\n"):
+                break  # cut off mid-line: the stream ended early
             msg = json.loads(line)
             ev = msg.get("ev")
             if ev == "begin":
@@ -222,8 +230,10 @@ def run_request(sock_path, request, want_stats):
                 bad = msg.get("code") in ("RESOURCE_EXHAUSTED", "CANCELLED")
                 return "".join(out), 3 if bad else 1
             elif ev == "done":
-                break
-    return "".join(out), code
+                return "".join(out), code
+    sys.stderr.write("seprec_client: connection closed before the reply "
+                     "was done\n")
+    return "".join(out), 1
 
 
 def main():
