@@ -6,15 +6,20 @@ namespace seprec {
 
 std::vector<std::string> Answer::ToStrings(const SymbolTable& symbols) const {
   std::vector<std::string> out;
-  out.reserve(tuples_.size());
-  for (const std::vector<Value>& tuple : tuples_) {
-    std::string line = "(";
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      if (i > 0) line += ", ";
-      line += symbols.ToString(tuple[i]);
+  out.reserve(size());
+  {
+    // One read lock for the whole answer, not one per symbol.
+    SymbolTable::Reader reader(symbols);
+    for (size_t r = 0; r < size(); ++r) {
+      Row tuple = row(r);
+      std::string line = "(";
+      for (size_t i = 0; i < tuple.size(); ++i) {
+        if (i > 0) line += ", ";
+        reader.Append(tuple[i], &line);
+      }
+      line += ")";
+      out.push_back(std::move(line));
     }
-    line += ")";
-    out.push_back(std::move(line));
   }
   std::sort(out.begin(), out.end());
   return out;

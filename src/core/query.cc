@@ -1,7 +1,5 @@
 #include "core/query.h"
 
-#include <map>
-
 namespace seprec {
 
 std::vector<bool> BoundPositions(const Atom& query) {
@@ -45,15 +43,19 @@ std::vector<std::optional<Value>> ResolveConstants(const Atom& query,
 bool RowMatchesQuery(Row row, const Atom& query,
                      const std::vector<std::optional<Value>>& constants) {
   SEPREC_CHECK(row.size() == query.args.size());
-  std::map<std::string, Value> var_bindings;
   for (size_t i = 0; i < row.size(); ++i) {
     if (constants[i].has_value()) {
       if (row[i] != *constants[i]) return false;
       continue;
     }
+    // A repeated variable must equal the column of its first occurrence.
     const std::string& var = query.args[i].name;
-    auto [it, inserted] = var_bindings.emplace(var, row[i]);
-    if (!inserted && it->second != row[i]) return false;
+    for (size_t j = 0; j < i; ++j) {
+      if (!constants[j].has_value() && query.args[j].name == var) {
+        if (row[j] != row[i]) return false;
+        break;
+      }
+    }
   }
   return true;
 }

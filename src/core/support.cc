@@ -10,15 +10,21 @@ namespace seprec {
 
 namespace {
 
-Status EvaluateRulesFor(const Program& program,
-                        const std::set<std::string>& predicates, Database* db,
-                        const FixpointOptions& options, EvalStats* stats) {
+Program RulesFor(const Program& program,
+                 const std::set<std::string>& predicates) {
   Program support;
   for (const Rule& rule : program.rules) {
     if (predicates.count(rule.head.predicate)) {
       support.rules.push_back(rule);
     }
   }
+  return support;
+}
+
+}  // namespace
+
+Status EvaluateSupport(const Program& support, Database* db,
+                       const FixpointOptions& options, EvalStats* stats) {
   if (support.rules.empty()) return Status::OK();
 
   // Support rounds carry a distinct phase prefix so a trace separates them
@@ -40,15 +46,19 @@ Status EvaluateRulesFor(const Program& program,
   return status;
 }
 
-}  // namespace
+StatusOr<Program> SupportProgram(const Program& program,
+                                 std::string_view predicate) {
+  SEPREC_ASSIGN_OR_RETURN(ProgramInfo info, ProgramInfo::Analyze(program));
+  std::set<std::string> deps = info.DependenciesOf(predicate);
+  deps.erase(std::string(predicate));
+  return RulesFor(program, deps);
+}
 
 Status MaterializeSupport(const Program& program, std::string_view predicate,
                           Database* db, const FixpointOptions& options,
                           EvalStats* stats) {
-  SEPREC_ASSIGN_OR_RETURN(ProgramInfo info, ProgramInfo::Analyze(program));
-  std::set<std::string> deps = info.DependenciesOf(predicate);
-  deps.erase(std::string(predicate));
-  return EvaluateRulesFor(program, deps, db, options, stats);
+  SEPREC_ASSIGN_OR_RETURN(Program support, SupportProgram(program, predicate));
+  return EvaluateSupport(support, db, options, stats);
 }
 
 Status MaterializePredicates(const Program& program,
@@ -61,7 +71,7 @@ Status MaterializePredicates(const Program& program,
     std::set<std::string> deps = info.DependenciesOf(pred);
     wanted.insert(deps.begin(), deps.end());
   }
-  return EvaluateRulesFor(program, wanted, db, options, stats);
+  return EvaluateSupport(RulesFor(program, wanted), db, options, stats);
 }
 
 std::set<std::string> AggregatePredicates(const Program& program) {

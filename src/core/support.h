@@ -20,6 +20,16 @@ Status MaterializeSupport(const Program& program, std::string_view predicate,
                           Database* db, const FixpointOptions& options = {},
                           EvalStats* stats = nullptr);
 
+// MaterializeSupport in two steps, for a compiled query that evaluates
+// the same support on every request: SupportProgram selects the rules
+// once (none when the recursion reads only base relations), and
+// EvaluateSupport runs them (nothing when there are none).
+StatusOr<Program> SupportProgram(const Program& program,
+                                 std::string_view predicate);
+Status EvaluateSupport(const Program& support, Database* db,
+                       const FixpointOptions& options = {},
+                       EvalStats* stats = nullptr);
+
 // Materialises the given predicates themselves plus everything they
 // transitively depend on. Used by the Magic drivers for predicates that
 // occur negated (the rewrite treats them as base relations).

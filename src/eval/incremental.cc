@@ -19,13 +19,19 @@ std::string UpdateStats::ToString() const {
 namespace {
 
 // Opens the engine run of one AddFacts/RemoveFacts call. Its engine_finish
-// reports the update's delta rounds and inserted plus rederived tuples.
+// reports the update's delta rounds and the distinct tuples it added: an
+// insertion's `inserted`, or a removal's `rederived`, which counts the
+// direct rederives plus the insertions they cascade into — the same
+// tuples the removal's `inserted` counts, so adding both would count the
+// cascade twice.
 EngineRun OpenUpdateRun(const FixpointOptions& options, Database* db,
-                        const UpdateStats* update) {
-  return EngineRun("incremental", options, db, /*stats=*/nullptr, [update] {
-    return EngineRun::Work{update->iterations,
-                           update->inserted + update->rederived};
-  });
+                        const UpdateStats* update, bool removing) {
+  return EngineRun("incremental", options, db, /*stats=*/nullptr,
+                   [update, removing] {
+                     return EngineRun::Work{update->iterations,
+                                            removing ? update->rederived
+                                                     : update->inserted};
+                   });
 }
 
 void EmitRoundStart(TraceSink* trace, const char* phase, size_t round,
@@ -235,7 +241,8 @@ Status IncrementalEngine::AddFacts(
   last_update_ = UpdateStats();
   FixpointOptions options;
   options.trace = trace_;
-  EngineRun run = OpenUpdateRun(options, db_, &last_update_);
+  EngineRun run = OpenUpdateRun(options, db_, &last_update_,
+                                /*removing=*/false);
   Relation* edb = nullptr;
   Relation* seed = nullptr;
   SEPREC_RETURN_IF_ERROR(
@@ -405,7 +412,8 @@ Status IncrementalEngine::RemoveFacts(
   last_update_ = UpdateStats();
   FixpointOptions options;
   options.trace = trace_;
-  EngineRun run = OpenUpdateRun(options, db_, &last_update_);
+  EngineRun run = OpenUpdateRun(options, db_, &last_update_,
+                                /*removing=*/true);
   Relation* edb = nullptr;
   Relation* seed = nullptr;
   SEPREC_RETURN_IF_ERROR(

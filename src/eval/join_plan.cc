@@ -380,14 +380,25 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
 
 struct RulePlan::ExecContext {
   std::vector<Value> slots;
+  // Per step, the Index it probes, resolved on the step's first probe of
+  // this execution rather than on every outer row (GetIndex takes the
+  // relation's index lock and searches its map).
+  std::vector<const Index*> indexes;
   size_t probes = 0;  // candidate rows examined by scan steps
   bool overflow = false;
+
+  const Index& IndexFor(size_t step_index, const Step& step) {
+    const Index*& index = indexes[step_index];
+    if (index == nullptr) index = &step.relation->GetIndex(step.probe_cols);
+    return *index;
+  }
 };
 
 template <typename Sink>
 void RulePlan::Run(Sink&& sink, bool* overflow, size_t* probes) const {
   ExecContext ctx;
   ctx.slots.resize(num_slots_);
+  ctx.indexes.assign(steps_.size(), nullptr);
   RunStep(0, &ctx, sink);
   if (overflow != nullptr && ctx.overflow) *overflow = true;
   if (probes != nullptr) *probes += ctx.probes;
@@ -528,7 +539,7 @@ void RulePlan::RunStep(size_t step_index, ExecContext* ctx,
           for (size_t i = 0; i < step.probe_sources.size(); ++i) {
             key[i] = resolve(step.probe_sources[i]);
           }
-          const Index& index = step.relation->GetIndex(step.probe_cols);
+          const Index& index = ctx->IndexFor(step_index, step);
           index.ForEach(Row(key, step.probe_cols.size()),
                         [&found](uint32_t) { found = true; });
         }
@@ -564,7 +575,7 @@ void RulePlan::RunStep(size_t step_index, ExecContext* ctx,
         for (size_t i = 0; i < step.probe_sources.size(); ++i) {
           key[i] = resolve(step.probe_sources[i]);
         }
-        const Index& index = step.relation->GetIndex(step.probe_cols);
+        const Index& index = ctx->IndexFor(step_index, step);
         index.ForEach(Row(key, step.probe_cols.size()), try_row);
       }
       return;

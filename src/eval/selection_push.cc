@@ -118,8 +118,8 @@ StatusOr<SelectionPushResult> EvaluateWithSelectionPush(
     Atom select = query;
     select.predicate = selected;
     Answer matched = SelectMatching(*rel, select, db->symbols());
-    for (const std::vector<Value>& tuple : matched.tuples()) {
-      result.answer.Add(Row(tuple.data(), tuple.size()));
+    for (size_t i = 0; i < matched.size(); ++i) {
+      result.answer.Add(matched.row(i));
     }
   }
   result.stats.seconds = timer.Seconds();

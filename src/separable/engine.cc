@@ -265,10 +265,11 @@ class SchemaRunner {
   }
 
   // Runs the schema from `seeds` (each of width |anchor_positions|) and
-  // appends the seen_2 rows (rest-position values) to `rest_rows`. Polls
-  // `ctx` at every carry/seen round boundary; on a trip the phases stop
-  // early and the seen_2 rows harvested so far are still emitted — every
-  // one is a true tuple, so a truncated run yields a sound partial answer.
+  // leaves the seen_2 rows (rest-position values) in seen2() until the
+  // next Run or ClearScratch. Polls `ctx` at every carry/seen round
+  // boundary; on a trip the phases stop early and the seen_2 rows
+  // harvested so far are still there — every one is a true tuple, so a
+  // truncated run yields a sound partial answer.
   //
   // `reuse`/`capture` implement the resumable phase 2 behind the closure
   // cache: with `reuse`, seen_1 is seeded from the cached closure instead
@@ -277,7 +278,6 @@ class SchemaRunner {
   // without a governor trip) copies seen_1 out for caching.
   void Run(const std::vector<std::vector<Value>>& seeds,
            ExecutionContext* ctx, EvalStats* stats,
-           std::vector<std::vector<Value>>* rest_rows,
            const Phase1Closure* reuse = nullptr,
            Phase1Closure* capture = nullptr) {
     ClearScratch();
@@ -517,11 +517,6 @@ class SchemaRunner {
       }
     }
 
-    for (size_t i = 0; i < seen2_->size(); ++i) {
-      Row row = seen2_->row(i);
-      rest_rows->emplace_back(row.begin(), row.end());
-    }
-
     if (stats != nullptr) {
       stats->iterations += iterations;
       stats->tuples_inserted += inserted;
@@ -534,6 +529,8 @@ class SchemaRunner {
   }
 
   const AnchorInfo& anchor() const { return anchor_; }
+  // The last Run's seen_2 (a rest of width 0 holds at most its empty row).
+  const Relation& seen2() const { return *seen2_; }
 
  private:
   const SeparableRecursion& sep_;
@@ -570,23 +567,27 @@ class SchemaRunner {
 
 namespace {
 
-// Assembles a full-arity answer row from anchor values and rest values and
-// adds it to `answer` if it matches the query (extra constants outside the
-// anchor and repeated query variables become post-filters).
-void EmitAnswer(const AnchorInfo& anchor, Row anchor_values, Row rest_values,
-                const Atom& query,
-                const std::vector<std::optional<Value>>& query_constants,
-                Answer* answer) {
+// Assembles a full-arity answer row from the anchor values and each seen_2
+// row, in one scratch row, and adds it to `answer` if it matches the query
+// (extra constants outside the anchor and repeated query variables become
+// post-filters).
+void EmitAnswers(const AnchorInfo& anchor, Row anchor_values,
+                 const Relation& seen2, const Atom& query,
+                 const std::vector<std::optional<Value>>& query_constants,
+                 Answer* answer) {
   std::vector<Value> full(query.arity());
   for (size_t i = 0; i < anchor.anchor_positions.size(); ++i) {
     full[anchor.anchor_positions[i]] = anchor_values[i];
   }
-  for (size_t i = 0; i < anchor.rest_positions.size(); ++i) {
-    full[anchor.rest_positions[i]] = rest_values[i];
-  }
-  Row row(full.data(), full.size());
-  if (RowMatchesQuery(row, query, query_constants)) {
-    answer->Add(row);
+  for (size_t r = 0; r < seen2.size(); ++r) {
+    Row rest = seen2.row(r);
+    for (size_t i = 0; i < anchor.rest_positions.size(); ++i) {
+      full[anchor.rest_positions[i]] = rest[i];
+    }
+    Row row(full.data(), full.size());
+    if (RowMatchesQuery(row, query, query_constants)) {
+      answer->Add(row);
+    }
   }
 }
 
@@ -686,15 +687,11 @@ Status EvaluatePartial(const Program& program, const SeparableRecursion& sep,
   // only true tuples, so stopping between branches keeps the answer sound.
   for (const auto& [seed, heads] : seeds_to_heads) {
     if (ctx->ShouldStop()) break;
-    std::vector<std::vector<Value>> rest_rows;
-    runner.Run({seed}, ctx, &result->stats, &rest_rows);
+    runner.Run({seed}, ctx, &result->stats);
     ++result->schema_runs;
     for (const std::vector<Value>& head_vals : heads) {
-      for (const std::vector<Value>& rest : rest_rows) {
-        EmitAnswer(full_anchor, Row(head_vals.data(), head_vals.size()),
-                   Row(rest.data(), rest.size()), query, query_constants,
-                   &result->answer);
-      }
+      EmitAnswers(full_anchor, Row(head_vals.data(), head_vals.size()),
+                  runner.seen2(), query, query_constants, &result->answer);
     }
   }
   return Status::OK();
@@ -722,14 +719,10 @@ Status EvaluateSelection(const Program& program, const SeparableRecursion& sep,
 
   SchemaRunner runner(sep, *anchor, db, ctx->limits().parallel, join_order);
   SEPREC_RETURN_IF_ERROR(runner.Compile());
-  std::vector<std::vector<Value>> rest_rows;
-  runner.Run({seed}, ctx, &result->stats, &rest_rows);
+  runner.Run({seed}, ctx, &result->stats);
   ++result->schema_runs;
-  for (const std::vector<Value>& rest : rest_rows) {
-    EmitAnswer(*anchor, Row(seed.data(), seed.size()),
-               Row(rest.data(), rest.size()), query, query_constants,
-               &result->answer);
-  }
+  EmitAnswers(*anchor, Row(seed.data(), seed.size()), runner.seen2(), query,
+              query_constants, &result->answer);
   return Status::OK();
 }
 
@@ -795,6 +788,9 @@ struct PreparedSeparable::Impl {
   // QueryProcessor) that compiled it.
   Program program;
   SeparableRecursion sep;
+  // The rules of the IDB predicates the recursion reads, worked out once;
+  // they are still evaluated per request, since rollback drops them.
+  Program support;
   std::vector<bool> bound;  // the compiled selection shape
   Database* db = nullptr;
   std::unique_ptr<SchemaRunner> runner;
@@ -823,6 +819,8 @@ StatusOr<std::unique_ptr<PreparedSeparable>> PreparedSeparable::Compile(
                "branches per request)"));
   }
   auto impl = std::make_unique<Impl>();
+  SEPREC_ASSIGN_OR_RETURN(impl->support,
+                          SupportProgram(program, sep.predicate()));
   impl->program = program;
   impl->sep = sep;
   impl->bound = std::move(bound);
@@ -935,9 +933,8 @@ StatusOr<SeparableRunResult> PreparedSeparable::Execute(
     if (arg.kind == Term::Kind::kSymbol) db->symbols().Intern(arg.name);
   }
 
-  SEPREC_RETURN_IF_ERROR(MaterializeSupport(impl_->program,
-                                            impl_->sep.predicate(), db,
-                                            run.Nested(), &result.stats));
+  SEPREC_RETURN_IF_ERROR(
+      EvaluateSupport(impl_->support, db, run.Nested(), &result.stats));
   bool resolvable = false;
   std::vector<std::optional<Value>> query_constants =
       ResolveConstants(query, db->symbols(), &resolvable);
@@ -950,15 +947,10 @@ StatusOr<SeparableRunResult> PreparedSeparable::Execute(
     seed.push_back(*query_constants[p]);
   }
 
-  std::vector<std::vector<Value>> rest_rows;
-  impl_->runner->Run({seed}, run.ctx(), &result.stats, &rest_rows, reuse,
-                     capture);
+  impl_->runner->Run({seed}, run.ctx(), &result.stats, reuse, capture);
   result.schema_runs = 1;
-  for (const std::vector<Value>& rest : rest_rows) {
-    EmitAnswer(anchor, Row(seed.data(), seed.size()),
-               Row(rest.data(), rest.size()), query, query_constants,
-               &result.answer);
-  }
+  EmitAnswers(anchor, Row(seed.data(), seed.size()), impl_->runner->seen2(),
+              query, query_constants, &result.answer);
   SEPREC_RETURN_IF_ERROR(run.Finish());
   return result;
 }

@@ -65,9 +65,7 @@ size_t Index::CountMatches(Row key) const {
 }
 
 Relation::Relation(std::string name, size_t arity)
-    : name_(std::move(name)),
-      arity_(arity),
-      row_set_(/*bucket_count=*/16, RowIdHash{this}, RowIdEq{this}) {}
+    : name_(std::move(name)), arity_(arity) {}
 
 Relation::~Relation() { SetAccountant(nullptr); }
 
@@ -94,24 +92,12 @@ bool Relation::Insert(Row row) {
   }
   // Base dedup by binary search (the row-set below covers only the delta
   // layer — populating it with the whole base would decode every page).
-  if (base_ != nullptr) {
-    uint64_t idx = base_->Find(row.data(), row.size());
-    if (idx < base_->rows() && !dead_[idx]) return false;
-  }
-  // Tentatively append so the row-set functors (which hash by slot) can
-  // see the candidate row; roll back on duplicate.
+  if (LiveBaseSlot(row) < base_slots_) return false;
+  const uint32_t slot = static_cast<uint32_t>(num_slots_);
+  if (!row_set_.Insert(row, slot, DeltaRowOf())) return false;
   data_.insert(data_.end(), row.begin(), row.end());
   dead_.push_back(false);
-  uint32_t slot = static_cast<uint32_t>(num_slots_);
   ++num_slots_;
-  auto [it, inserted] = row_set_.insert(slot);
-  (void)it;
-  if (!inserted) {
-    --num_slots_;
-    dead_.pop_back();
-    data_.resize(data_.size() - arity_);
-    return false;
-  }
   ++num_rows_;
   if (counting) {
     counters_->novel.fetch_add(1, std::memory_order_relaxed);
@@ -125,18 +111,15 @@ bool Relation::Insert(Row row) {
 
 bool Relation::Contains(Row row) const {
   SEPREC_CHECK(row.size() == arity_);
-  // Same tentative-append trick, const_cast-free: use a throwaway probe via
-  // the first index on all columns if rows exist, else linear check.
-  // Cheapest correct approach: append+lookup+rollback on a mutable copy is
-  // not possible here, so probe through an index over all columns.
-  if (num_rows_ == 0) return false;
-  ColumnList all(arity_);
-  for (size_t i = 0; i < arity_; ++i) all[i] = static_cast<uint32_t>(i);
-  if (arity_ == 0) return num_rows_ > 0;
-  const Index& index = GetIndex(all);
-  bool found = false;
-  index.ForEach(row, [&found](uint32_t) { found = true; });
-  return found;
+  return LiveBaseSlot(row) < base_slots_ ||
+         row_set_.Find(row, DeltaRowOf()) != RowIdSet::kNone;
+}
+
+size_t Relation::LiveBaseSlot(Row row) const {
+  if (base_ == nullptr) return base_slots_;
+  const uint64_t idx = base_->Find(row.data(), row.size());
+  return idx < base_slots_ && !dead_[idx] ? static_cast<size_t>(idx)
+                                          : base_slots_;
 }
 
 const Index& Relation::GetIndex(const ColumnList& columns) const {
@@ -183,33 +166,21 @@ size_t Relation::EraseRows(const Relation& to_remove) {
   SEPREC_CHECK(to_remove.arity() == arity_);
   if (to_remove.empty() || num_rows_ == 0) return 0;
   NoteWrite();
-  if (arity_ == 0) {
-    // At most the single empty tuple.
-    if (num_rows_ == 1) {
-      dead_[*row_set_.begin()] = true;
-      row_set_.clear();
-      num_rows_ = 0;
-      ++mutation_epoch_;
-      return 1;
-    }
-    return 0;
-  }
-  ColumnList all(arity_);
-  for (size_t i = 0; i < arity_; ++i) all[i] = static_cast<uint32_t>(i);
-  const Index& index = GetIndex(all);
   size_t removed = 0;
   to_remove.ForEachRow([&](Row r) {
-    // Find the (single, live) slot holding r, if any.
-    uint32_t victim = 0;
-    bool found = false;
-    index.ForEach(r, [&victim, &found](uint32_t slot) {
-      victim = slot;
-      found = true;
-    });
-    if (found) {
-      row_set_.erase(victim);  // no-op for base slots (delta-only set)
+    // The (single, live) slot holding r, if any: a base slot by binary
+    // search, else a delta slot through the row set.
+    const size_t base_slot = LiveBaseSlot(r);
+    if (base_slot < base_slots_) {
+      dead_[base_slot] = true;
+      ++base_dead_;
+      --num_rows_;
+      ++removed;
+      return;
+    }
+    const uint32_t victim = row_set_.Erase(r, DeltaRowOf());
+    if (victim != RowIdSet::kNone) {
       dead_[victim] = true;
-      if (victim < base_slots_) ++base_dead_;
       --num_rows_;
       ++removed;
     }
@@ -228,12 +199,17 @@ void Relation::TruncateToSlots(size_t slots) {
   // checkpoints spanning an attach refuse rollback before reaching here).
   SEPREC_CHECK(slots >= base_slots_);
   if (slots == num_slots_) return;
-  // Unregister the dropped slots while their data is still addressable
-  // (the row-set hashes by slot id into data_).
-  for (size_t slot = slots; slot < num_slots_; ++slot) {
-    if (!dead_[slot]) {
-      row_set_.erase(static_cast<uint32_t>(slot));
-      --num_rows_;
+  if (slots == base_slots_) {
+    // Down to the base: no delta row survives, so empty the set wholesale.
+    row_set_.clear();
+    num_rows_ = base_slots_ - base_dead_;
+  } else {
+    // Unregister the dropped slots while their data is still addressable.
+    for (size_t slot = slots; slot < num_slots_; ++slot) {
+      if (!dead_[slot]) {
+        row_set_.Erase(row(slot), DeltaRowOf());
+        --num_rows_;
+      }
     }
   }
   size_t removed = num_slots_ - slots;
@@ -347,7 +323,7 @@ ShardedSink::ShardedSink(size_t arity, size_t num_shards) : arity_(arity) {
   if (num_shards == 0) num_shards = 1;
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(&arity_));
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -360,17 +336,16 @@ bool ShardedSink::Insert(Row row) {
   Shard& shard = *shards_[HashRow(row) % shards_.size()];
 
   std::lock_guard<std::mutex> lock(shard.mu);
-  // Tentative append so the set's functors can address the candidate row;
-  // rolled back on duplicate (same scheme as Relation::Insert — and like
-  // there, the accountant is charged only for NOVEL rows, after dedupe).
-  uint32_t id = static_cast<uint32_t>(shard.rows.size());
+  // Like Relation::Insert: probe before appending, and charge the
+  // accountant only for NOVEL rows, after dedupe.
+  const size_t arity = arity_;
+  const Value* data = shard.data.data();
+  auto row_of = [data, arity](uint32_t id) {
+    return Row(data + size_t{id} * arity, arity);
+  };
+  const uint32_t id = static_cast<uint32_t>(shard.rows.size());
+  if (!shard.rows.Insert(row, id, row_of)) return false;
   shard.data.insert(shard.data.end(), row.begin(), row.end());
-  auto [it, inserted] = shard.rows.insert(id);
-  (void)it;
-  if (!inserted) {
-    shard.data.resize(shard.data.size() - arity_);
-    return false;
-  }
   if (accountant_ != nullptr) accountant_->Charge(RowBytes());
   return true;
 }
@@ -387,38 +362,37 @@ size_t ShardedSink::size() const {
 size_t ShardedSink::MergeInto(Relation* out, Relation* delta,
                               size_t* staged_count) {
   SEPREC_CHECK(out->arity() == arity_);
-  // Collect every staged row, then sort lexicographically by Value bits:
-  // the canonical merge order that makes the target's slot sequence
-  // independent of how workers and shards interleaved.
-  std::vector<std::vector<Value>> staged;
+  // Point at every staged row where it sits in its shard, then sort the
+  // pointers lexicographically by Value bits: the canonical merge order
+  // that makes the target's slot sequence independent of how workers and
+  // shards interleaved. No Insert runs during a merge, so the shard
+  // buffers stay put until they are cleared below.
+  const size_t arity = arity_;
+  merge_order_.clear();
   size_t released = 0;
-  for (std::unique_ptr<Shard>& shard : shards_) {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     const size_t rows = shard->rows.size();
-    staged.reserve(staged.size() + rows);
     for (size_t r = 0; r < rows; ++r) {
-      staged.emplace_back(shard->data.begin() + r * arity_,
-                          shard->data.begin() + (r + 1) * arity_);
+      merge_order_.push_back(shard->data.data() + r * arity);
     }
-    released += shard->rows.size();
-    shard->data.clear();
-    shard->rows.clear();
+    released += rows;
   }
-  std::sort(staged.begin(), staged.end(),
-            [](const std::vector<Value>& a, const std::vector<Value>& b) {
-              for (size_t i = 0; i < a.size(); ++i) {
-                if (a[i].bits() != b[i].bits()) {
-                  return a[i].bits() < b[i].bits();
-                }
-              }
-              return false;
+  std::sort(merge_order_.begin(), merge_order_.end(),
+            [arity](const Value* a, const Value* b) {
+              return RowBitsLess(Row(a, arity), Row(b, arity));
             });
   size_t new_rows = 0;
-  for (const std::vector<Value>& row : staged) {
-    if (out->Insert(Row(row.data(), row.size()))) {
+  for (const Value* row : merge_order_) {
+    if (out->Insert(Row(row, arity))) {
       ++new_rows;
-      if (delta != nullptr) delta->Insert(Row(row.data(), row.size()));
+      if (delta != nullptr) delta->Insert(Row(row, arity));
     }
+  }
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->data.clear();
+    shard->rows.clear();
   }
   if (accountant_ != nullptr) accountant_->Release(released * RowBytes());
   if (staged_count != nullptr) *staged_count += released;

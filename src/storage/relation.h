@@ -28,9 +28,9 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "storage/row_id_set.h"
 #include "storage/symbol_table.h"
 #include "storage/value.h"
 #include "util/hash.h"
@@ -237,7 +237,8 @@ class Relation {
   size_t InsertAll(const Relation& other);
 
   // Removes every row that appears in `to_remove` (arities must match) by
-  // tombstoning its slot — O(|to_remove|) with an index probe per row.
+  // tombstoning its slot — O(|to_remove|) with one row-set probe (and, over
+  // a base segment, one binary search) per row.
   // Slot ids remain stable; indexes skip dead slots. Returns the number
   // of rows removed.
   size_t EraseRows(const Relation& to_remove);
@@ -302,23 +303,16 @@ class Relation {
     }
   }
 
-  struct RowIdHash {
-    const Relation* rel;
-    size_t operator()(uint32_t row_id) const {
-      return static_cast<size_t>(HashRow(rel->row(row_id)));
-    }
-  };
-  struct RowIdEq {
-    const Relation* rel;
-    bool operator()(uint32_t a, uint32_t b) const {
-      Row ra = rel->row(a);
-      Row rb = rel->row(b);
-      for (size_t i = 0; i < ra.size(); ++i) {
-        if (ra[i] != rb[i]) return false;
-      }
-      return true;
-    }
-  };
+  // The live base slot holding a row equal to `row`, found by binary
+  // search; base_slots() when there is none (always, without a base).
+  size_t LiveBaseSlot(Row row) const;
+
+  // row_set_'s accessor: a delta slot's row.
+  auto DeltaRowOf() const {
+    return [this](uint32_t slot) {
+      return Row(data_.data() + (slot - base_slots_) * arity_, arity_);
+    };
+  }
 
   std::string name_;
   size_t arity_;
@@ -332,7 +326,9 @@ class Relation {
     return arity_ * sizeof(Value) + MemoryAccountant::kRowOverheadBytes;
   }
 
-  std::unordered_set<uint32_t, RowIdHash, RowIdEq> row_set_;  // live slots
+  // Live delta slots. Base rows are found through the segment's Find, so
+  // building this set never decodes a base page.
+  RowIdSet row_set_;
   // std::map: ColumnList has operator< for free; index count is tiny.
   // Node pointers are stable, so a built Index& survives later GetIndex
   // calls inserting new entries. Guarded by index_mu_ for concurrent
@@ -436,41 +432,12 @@ class ShardedSink {
   void Clear();
 
  private:
-  // One shard: a row buffer plus a dedupe set of row ids hashing into the
-  // buffer (the same slot-id scheme Relation uses, minus tombstones).
-  // Non-movable because the set's functors capture `this`.
+  // One shard: a row buffer plus a row-id set over it (the scheme Relation
+  // uses for its delta, minus tombstones).
   struct Shard {
-    explicit Shard(const size_t* arity)
-        : arity(arity), rows(16, RowHash{this}, RowEq{this}) {}
-    Shard(const Shard&) = delete;
-    Shard& operator=(const Shard&) = delete;
-
-    Row row(uint32_t id) const {
-      return Row(data.data() + size_t{id} * *arity, *arity);
-    }
-
-    struct RowHash {
-      const Shard* shard;
-      size_t operator()(uint32_t id) const {
-        return static_cast<size_t>(HashRow(shard->row(id)));
-      }
-    };
-    struct RowEq {
-      const Shard* shard;
-      bool operator()(uint32_t a, uint32_t b) const {
-        Row ra = shard->row(a);
-        Row rb = shard->row(b);
-        for (size_t i = 0; i < ra.size(); ++i) {
-          if (ra[i] != rb[i]) return false;
-        }
-        return true;
-      }
-    };
-
-    const size_t* arity;
     std::mutex mu;
     std::vector<Value> data;  // staged rows, arity Values each
-    std::unordered_set<uint32_t, RowHash, RowEq> rows;
+    RowIdSet rows;
   };
 
   size_t RowBytes() const {
@@ -480,6 +447,9 @@ class ShardedSink {
   size_t arity_;
   std::vector<std::unique_ptr<Shard>> shards_;
   MemoryAccountant* accountant_ = nullptr;  // not owned; may be null
+  // MergeInto's sort buffer: pointers to the staged rows, kept across
+  // rounds so a merge allocates nothing once it has seen its largest round.
+  std::vector<const Value*> merge_order_;
 };
 
 template <typename Fn>

@@ -1,10 +1,10 @@
 #include "storage/symbol_table.h"
 
+#include <charconv>
 #include <limits>
 #include <mutex>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace seprec {
 
@@ -49,10 +49,21 @@ const std::string& SymbolTable::NameOf(uint32_t id) const {
 }
 
 std::string SymbolTable::ToString(Value v) const {
+  std::string out;
+  Reader(*this).Append(v, &out);
+  return out;
+}
+
+void SymbolTable::Reader::Append(Value v, std::string* out) const {
   if (v.is_int()) {
-    return StrCat(v.as_int());
+    char buf[24];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v.as_int());
+    SEPREC_CHECK(ec == std::errc());
+    out->append(buf, end);
+    return;
   }
-  return NameOf(v.symbol_id());
+  SEPREC_CHECK(v.symbol_id() < table_.names_.size());
+  out->append(table_.names_[v.symbol_id()]);
 }
 
 size_t SymbolTable::size() const {

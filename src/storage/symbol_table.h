@@ -52,6 +52,22 @@ class SymbolTable {
 
   size_t size() const;
 
+  // Holds the table's read lock across a batch of renderings, so a whole
+  // answer renders under one lock acquisition instead of one per value.
+  // Interning waits while a Reader lives; keep it short.
+  class Reader {
+   public:
+    explicit Reader(const SymbolTable& table)
+        : table_(table), lock_(table.mu_) {}
+
+    // Appends v's rendering to *out; ToString renders through this too.
+    void Append(Value v, std::string* out) const;
+
+   private:
+    const SymbolTable& table_;
+    std::shared_lock<std::shared_mutex> lock_;
+  };
+
  private:
   // Deque keeps element addresses stable, so the map's string_view keys
   // (which point into stored names, including short-string buffers) never

@@ -103,10 +103,16 @@ void EnsureEnvironmentLoaded() {
   std::call_once(env_once, LoadEnvironment);
 }
 
-// Returns true (and fills *spec_out) when the armed site is due to fire.
-bool Evaluate(std::string_view site, FailpointSpec* spec_out) {
+// The disarmed fast path: false when no site is armed (and the slow path
+// is not forced on), before a caller builds anything.
+bool AnyActive() {
   EnsureEnvironmentLoaded();
-  if (active_count.load(std::memory_order_relaxed) == 0) return false;
+  return active_count.load(std::memory_order_relaxed) != 0;
+}
+
+// Returns true (and fills *spec_out) when the armed site is due to fire.
+// Callers test AnyActive() first.
+bool Evaluate(std::string_view site, FailpointSpec* spec_out) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.states.find(site);
@@ -175,6 +181,7 @@ bool Failpoints::IsRegistered(std::string_view site) {
 }
 
 Status Failpoints::Check(std::string_view site) {
+  if (!AnyActive()) return Status::OK();
   FailpointSpec spec;
   if (!Evaluate(site, &spec)) return Status::OK();
   std::string message = spec.message.empty()
@@ -184,6 +191,7 @@ Status Failpoints::Check(std::string_view site) {
 }
 
 bool Failpoints::Hit(std::string_view site) {
+  if (!AnyActive()) return false;
   FailpointSpec spec;
   return Evaluate(site, &spec);
 }

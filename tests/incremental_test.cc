@@ -6,6 +6,7 @@
 
 #include "datalog/parser.h"
 #include "eval/fixpoint.h"
+#include "eval/trace.h"
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "storage/io.h"
@@ -123,6 +124,45 @@ TEST(Incremental, DiamondRederivation) {
   EXPECT_TRUE(db.Find("tc")->Contains(std::vector<Value>{a, d}));
   EXPECT_EQ(db.Find("tc")->DebugString(db.symbols()),
             ScratchIdb(TransitiveClosureProgram(), db, "edge", "tc"));
+}
+
+TEST(Incremental, EngineFinishCountsEachRederivedTupleOnce) {
+  // Left-linear tc over a->b, b->c, c->d, a->c. Removing a->b overdeletes
+  // tc(a, b), tc(a, c) and tc(a, d); tc(a, c) comes back directly through
+  // a->c and cascades tc(a, d). `rederived` counts both, and so does
+  // `inserted` for the cascaded one, so engine_finish must report 2
+  // distinct tuples, not inserted + rederived = 3.
+  Database db;
+  for (auto [x, y] : std::vector<std::pair<const char*, const char*>>{
+           {"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "c"}}) {
+    ASSERT_TRUE(db.AddFact("edge", {x, y}).ok());
+  }
+  const Program program = ParseProgramOrDie(R"(
+    tc(X, Y) :- tc(X, Z) & edge(Z, Y).
+    tc(X, Y) :- edge(X, Y).
+  )");
+  auto engine = IncrementalEngine::Create(program, &db);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->Initialize().ok());
+
+  CollectingTraceSink trace;
+  engine->set_trace(&trace);
+  ASSERT_TRUE(engine->RemoveFact("edge", {"a", "b"}).ok());
+  const UpdateStats& stats = engine->last_update();
+  EXPECT_EQ(stats.inserted, 1u);
+  EXPECT_EQ(stats.overdeleted, 3u);
+  EXPECT_EQ(stats.rederived, 2u);
+  EXPECT_EQ(db.Find("tc")->DebugString(db.symbols()),
+            ScratchIdb(program, db, "edge", "tc"));
+
+  size_t finishes = 0;
+  for (const TraceEvent& e : trace.Events()) {
+    if (e.kind != TraceEventKind::kEngineFinish) continue;
+    ++finishes;
+    EXPECT_EQ(e.engine, "incremental");
+    EXPECT_EQ(e.tuples, 2u);
+  }
+  EXPECT_EQ(finishes, 1u);
 }
 
 TEST(Incremental, DeleteOnCycle) {

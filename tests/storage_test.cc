@@ -1,15 +1,22 @@
-// Tests for Value, SymbolTable, Relation, Index, and Database.
+// Tests for Value, SymbolTable, RowIdSet, Relation, Index, Database and
+// Answer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/answer.h"
 #include "storage/database.h"
 #include "storage/relation.h"
+#include "storage/row_id_set.h"
+#include "storage/segment/snapshot_v3.h"
 #include "storage/symbol_table.h"
 #include "storage/value.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace seprec {
@@ -456,6 +463,334 @@ TEST(Relation, TruncateToSlotsDropsTombstoneState) {
   EXPECT_EQ(rel.slots(), checkpoint);
   EXPECT_EQ(rel.size(), 0u);
   EXPECT_FALSE(rel.Contains(Row(&b, 1)));
+}
+
+// ---- RowIdSet --------------------------------------------------------------
+
+// Drives a RowIdSet and a std::set with the same random insert/find/erase
+// stream. Each column draws from `per_column` values (at most 64 distinct
+// rows live at once), so the table stays at 16-128 slots. The values are
+// redrawn every 5,000 operations, after emptying both sets, because a
+// fixed key set fixes every row's home slot: over many key sets some probe
+// runs wrap past the table's end, including runs that an erase shifts back
+// across it. Ids are never reused: the owner's buffer only grows, as
+// Relation's slots do.
+void RowIdSetMatchesStdSet(size_t arity, uint64_t per_column, uint64_t seed) {
+  std::vector<Value> buffer;
+  auto row_of = [&buffer, arity](uint32_t id) {
+    return Row(buffer.data() + size_t{id} * arity, arity);
+  };
+  uint32_t next_id = 0;
+  RowIdSet set;
+  std::set<std::vector<uint64_t>> model;
+  Rng rng(seed);
+  std::vector<int64_t> domain(per_column);
+  std::vector<Value> probe(arity);
+  for (int op = 0; op < 100000; ++op) {
+    if (op % 5000 == 0) {
+      set.clear();
+      model.clear();
+      for (int64_t& v : domain) v = rng.Between(-1000000, 1000000);
+    }
+    std::vector<uint64_t> key(arity);
+    for (size_t c = 0; c < arity; ++c) {
+      probe[c] = Value::Int(domain[rng.Below(per_column)]);
+      key[c] = probe[c].bits();
+    }
+    Row row(probe.data(), arity);
+    const uint64_t dice = rng.Below(1000);
+    if (dice == 0) {
+      set.clear();
+      model.clear();
+    } else if (dice < 450) {
+      const bool inserted = set.Insert(row, next_id, row_of);
+      ASSERT_EQ(inserted, model.insert(key).second) << "op " << op;
+      if (inserted) {
+        buffer.insert(buffer.end(), probe.begin(), probe.end());
+        ++next_id;
+      }
+    } else if (dice < 750) {
+      const uint32_t id = set.Find(row, row_of);
+      ASSERT_EQ(id != RowIdSet::kNone, model.count(key) > 0) << "op " << op;
+      if (id != RowIdSet::kNone) {
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), row_of(id).begin()));
+      }
+    } else {
+      const uint32_t id = set.Erase(row, row_of);
+      ASSERT_EQ(id != RowIdSet::kNone, model.erase(key) > 0) << "op " << op;
+      if (id != RowIdSet::kNone) {
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), row_of(id).begin()));
+      }
+    }
+    ASSERT_EQ(set.size(), model.size()) << "op " << op;
+  }
+  // Everything the model holds is still reachable after the churn.
+  for (const std::vector<uint64_t>& key : model) {
+    for (size_t c = 0; c < arity; ++c) probe[c] = Value::FromBits(key[c]);
+    EXPECT_NE(set.Find(Row(probe.data(), arity), row_of), RowIdSet::kNone);
+  }
+}
+
+TEST(RowIdSet, MatchesStdSetAtArityZero) { RowIdSetMatchesStdSet(0, 1, 1); }
+
+TEST(RowIdSet, MatchesStdSetAtArityOne) { RowIdSetMatchesStdSet(1, 61, 2); }
+
+TEST(RowIdSet, MatchesStdSetAtArityThree) { RowIdSetMatchesStdSet(3, 4, 3); }
+
+TEST(RowIdSet, ClearKeepsWorking) {
+  std::vector<Value> buffer;
+  auto row_of = [&buffer](uint32_t id) { return Row(&buffer[id], 1); };
+  RowIdSet set;
+  for (int round = 0; round < 3; ++round) {
+    buffer.clear();
+    set.clear();
+    EXPECT_TRUE(set.empty());
+    for (int i = 0; i < 1000; ++i) {
+      const Value v = Value::Int(i * (round + 1));
+      ASSERT_TRUE(set.Insert(Row(&v, 1), static_cast<uint32_t>(i), row_of));
+      buffer.push_back(v);
+    }
+    EXPECT_EQ(set.size(), 1000u);
+    const Value absent = Value::Int(-1);
+    EXPECT_EQ(set.Find(Row(&absent, 1), row_of), RowIdSet::kNone);
+  }
+}
+
+// ---- Relation delta and base -----------------------------------------------
+
+std::vector<Value> IntRow(int64_t a, int64_t b) {
+  return {Value::Int(a), Value::Int(b)};
+}
+
+TEST(Relation, EraseThenReinsertOverDelta) {
+  Relation rel("r", 2);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(rel.Insert(MakeRow(IntRow(i, -i))));
+  Relation victims("victims", 2);
+  for (int i : {1, 4, 9}) victims.Insert(MakeRow(IntRow(i, -i)));
+  victims.Insert(MakeRow(IntRow(100, 100)));  // absent: not counted
+  EXPECT_EQ(rel.EraseRows(victims), 3u);
+  EXPECT_EQ(rel.size(), 7u);
+  EXPECT_EQ(rel.slots(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    const bool erased = i == 1 || i == 4 || i == 9;
+    EXPECT_EQ(rel.Contains(MakeRow(IntRow(i, -i))), !erased) << i;
+  }
+  // Erasing again finds nothing.
+  EXPECT_EQ(rel.EraseRows(victims), 0u);
+  for (int i : {1, 4, 9}) {
+    EXPECT_TRUE(rel.Insert(MakeRow(IntRow(i, -i))));
+    EXPECT_FALSE(rel.Insert(MakeRow(IntRow(i, -i))));
+    EXPECT_TRUE(rel.Contains(MakeRow(IntRow(i, -i))));
+  }
+  EXPECT_EQ(rel.size(), 10u);
+  EXPECT_EQ(rel.slots(), 13u);
+}
+
+// A relation whose rows 0..n-1 sit in a base segment, loaded from a v3
+// snapshot written to a scratch file.
+class BaseRelationTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = StrCat(::testing::TempDir(), "/seprec_storage_",
+                   ::testing::UnitTest::GetInstance()
+                       ->current_test_info()
+                       ->name(),
+                   ".v3");
+    Database source;
+    Relation* rel = *source.CreateRelation("t", 2);
+    for (int i = 0; i < 20; ++i) rel->Insert(MakeRow(IntRow(i, i * i)));
+    ASSERT_TRUE(SaveSnapshotV3File(source, path_).ok());
+    ASSERT_TRUE(LoadSnapshotV3File(&db_, path_).ok());
+    t_ = db_.Find("t");
+    ASSERT_EQ(t_->base_slots(), 20u);
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  std::string path_;
+  Database db_;
+  Relation* t_ = nullptr;
+};
+
+TEST_F(BaseRelationTest, EraseThenReinsertOverBaseAndDelta) {
+  ASSERT_TRUE(t_->Insert(MakeRow(IntRow(100, 1))));
+  ASSERT_TRUE(t_->Insert(MakeRow(IntRow(101, 1))));
+  Relation victims("victims", 2);
+  victims.Insert(MakeRow(IntRow(3, 9)));     // base
+  victims.Insert(MakeRow(IntRow(100, 1)));   // delta
+  victims.Insert(MakeRow(IntRow(3, 10)));    // absent
+  EXPECT_EQ(t_->EraseRows(victims), 2u);
+  EXPECT_EQ(t_->size(), 20u);
+  EXPECT_EQ(t_->base_dead(), 1u);
+  EXPECT_FALSE(t_->Contains(MakeRow(IntRow(3, 9))));
+  EXPECT_FALSE(t_->Contains(MakeRow(IntRow(100, 1))));
+  EXPECT_TRUE(t_->Contains(MakeRow(IntRow(4, 16))));
+  EXPECT_TRUE(t_->Contains(MakeRow(IntRow(101, 1))));
+
+  // Both come back, as delta rows.
+  EXPECT_TRUE(t_->Insert(MakeRow(IntRow(3, 9))));
+  EXPECT_TRUE(t_->Insert(MakeRow(IntRow(100, 1))));
+  EXPECT_FALSE(t_->Insert(MakeRow(IntRow(3, 9))));
+  EXPECT_TRUE(t_->Contains(MakeRow(IntRow(3, 9))));
+  EXPECT_TRUE(t_->Contains(MakeRow(IntRow(100, 1))));
+  EXPECT_EQ(t_->size(), 22u);
+  EXPECT_EQ(t_->delta_rows(), 3u);
+
+  // The re-inserted base row erases from the delta this time.
+  Relation again("again", 2);
+  again.Insert(MakeRow(IntRow(3, 9)));
+  EXPECT_EQ(t_->EraseRows(again), 1u);
+  EXPECT_FALSE(t_->Contains(MakeRow(IntRow(3, 9))));
+  EXPECT_EQ(t_->base_dead(), 1u);
+  EXPECT_EQ(t_->size(), 21u);
+}
+
+TEST_F(BaseRelationTest, TruncateToBaseAndToMiddleSlot) {
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(t_->Insert(MakeRow(IntRow(100 + i, 0))));
+  }
+  const size_t middle = t_->slots() - 3;
+  t_->TruncateToSlots(middle);
+  EXPECT_EQ(t_->size(), 23u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(t_->Contains(MakeRow(IntRow(100 + i, 0))), i < 3) << i;
+  }
+  EXPECT_TRUE(t_->Contains(MakeRow(IntRow(7, 49))));
+
+  t_->TruncateToSlots(t_->base_slots());
+  EXPECT_EQ(t_->size(), 20u);
+  EXPECT_EQ(t_->delta_rows(), 0u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_FALSE(t_->Contains(MakeRow(IntRow(100 + i, 0)))) << i;
+  }
+  EXPECT_TRUE(t_->Contains(MakeRow(IntRow(19, 361))));
+  // Truncated rows insert again; base rows stay deduplicated.
+  EXPECT_TRUE(t_->Insert(MakeRow(IntRow(104, 0))));
+  EXPECT_FALSE(t_->Insert(MakeRow(IntRow(19, 361))));
+  EXPECT_EQ(t_->size(), 21u);
+}
+
+TEST(Relation, TruncateToMiddleSlotPastTombstones) {
+  Relation rel("r", 2);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(rel.Insert(MakeRow(IntRow(i, 0))));
+  Relation victims("victims", 2);
+  victims.Insert(MakeRow(IntRow(2, 0)));
+  victims.Insert(MakeRow(IntRow(7, 0)));
+  ASSERT_EQ(rel.EraseRows(victims), 2u);
+  // Re-insert 7 so a live copy sits past the dead slot 7.
+  ASSERT_TRUE(rel.Insert(MakeRow(IntRow(7, 0))));
+  rel.TruncateToSlots(5);
+  EXPECT_EQ(rel.slots(), 5u);
+  EXPECT_EQ(rel.size(), 4u);  // slot 2 stays dead
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(rel.Contains(MakeRow(IntRow(i, 0))), i < 5 && i != 2) << i;
+  }
+  EXPECT_TRUE(rel.Insert(MakeRow(IntRow(7, 0))));
+  EXPECT_TRUE(rel.Insert(MakeRow(IntRow(2, 0))));
+  EXPECT_EQ(rel.size(), 6u);
+
+  rel.TruncateToSlots(0);
+  EXPECT_EQ(rel.size(), 0u);
+  EXPECT_FALSE(rel.Contains(MakeRow(IntRow(0, 0))));
+  EXPECT_TRUE(rel.Insert(MakeRow(IntRow(0, 0))));
+  EXPECT_EQ(rel.size(), 1u);
+}
+
+TEST(Relation, ClearThenRefill) {
+  Relation rel("r", 2);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_TRUE(rel.Insert(MakeRow(IntRow(i, round))));
+    }
+    EXPECT_EQ(rel.size(), 500u);
+    EXPECT_TRUE(rel.Contains(MakeRow(IntRow(499, round))));
+    if (round > 0) {
+      EXPECT_FALSE(rel.Contains(MakeRow(IntRow(0, round - 1))));
+    }
+    rel.Clear();
+    EXPECT_EQ(rel.size(), 0u);
+    EXPECT_FALSE(rel.Contains(MakeRow(IntRow(0, round))));
+  }
+  // Rows from before a Clear are new again.
+  EXPECT_TRUE(rel.Insert(MakeRow(IntRow(7, 0))));
+  EXPECT_FALSE(rel.Insert(MakeRow(IntRow(7, 0))));
+  EXPECT_EQ(rel.size(), 1u);
+}
+
+// ---- Answer ------------------------------------------------------------------
+
+TEST(Answer, Deduplicates) {
+  Answer answer(2);
+  answer.Add(MakeRow(IntRow(1, 2)));
+  answer.Add(MakeRow(IntRow(2, 1)));
+  answer.Add(MakeRow(IntRow(1, 2)));
+  EXPECT_EQ(answer.size(), 2u);
+  EXPECT_TRUE(answer.Contains(MakeRow(IntRow(1, 2))));
+  EXPECT_FALSE(answer.Contains(MakeRow(IntRow(1, 1))));
+  // row(i) is insertion order.
+  EXPECT_EQ(answer.row(0)[0], Value::Int(1));
+  EXPECT_EQ(answer.row(1)[0], Value::Int(2));
+}
+
+TEST(Answer, ZeroArityHoldsAtMostTheEmptyTuple) {
+  SymbolTable symbols;
+  Answer answer(0);
+  EXPECT_TRUE(answer.empty());
+  EXPECT_FALSE(answer.Contains(Row{}));
+  EXPECT_TRUE(answer.ToStrings(symbols).empty());
+  answer.Add(Row{});
+  answer.Add(Row{});
+  EXPECT_EQ(answer.size(), 1u);
+  EXPECT_TRUE(answer.Contains(Row{}));
+  EXPECT_EQ(answer.ToStrings(symbols), std::vector<std::string>{"()"});
+  EXPECT_NE(answer, Answer(0));
+}
+
+TEST(Answer, EqualityIgnoresInsertionOrder) {
+  Answer a(2);
+  Answer b(2);
+  for (int i = 0; i < 50; ++i) a.Add(MakeRow(IntRow(i, i % 7)));
+  for (int i = 49; i >= 0; --i) {
+    b.Add(MakeRow(IntRow(i, i % 7)));
+    b.Add(MakeRow(IntRow(i, i % 7)));
+  }
+  EXPECT_EQ(a, b);
+  b.Add(MakeRow(IntRow(50, 1)));
+  EXPECT_NE(a, b);
+  a.Add(MakeRow(IntRow(51, 1)));
+  EXPECT_NE(a, b);  // same size, different tuples
+  Answer wide(3);
+  EXPECT_NE(Answer(2), wide);
+}
+
+TEST(Answer, ToStringsRendersEveryValueKind) {
+  SymbolTable symbols;
+  const Value sym42 = symbols.Intern("42");
+  const Value spaced = symbols.Intern("a b");
+  const Value quoted = symbols.Intern("say \"hi\"");
+  const Value apostrophe = symbols.Intern("it's");
+  const std::vector<std::vector<Value>> rows = {
+      {Value::Int(-5), sym42},
+      {sym42, Value::Int(42)},
+      {Value::Int(42), sym42},
+      {Value::Int(Value::kMinInt), Value::Int(Value::kMaxInt)},
+      {spaced, quoted},
+      {apostrophe, Value::Int(0)},
+  };
+  Answer answer(2);
+  for (const std::vector<Value>& row : rows) answer.Add(MakeRow(row));
+  ASSERT_EQ(answer.size(), rows.size());
+  const std::vector<std::string> expected = {
+      "(-2305843009213693952, 2305843009213693951)",
+      "(-5, 42)",
+      "(42, 42)",
+      "(42, 42)",
+      "(a b, say \"hi\")",
+      "(it's, 0)",
+  };
+  EXPECT_EQ(answer.ToStrings(symbols), expected);
+  EXPECT_EQ(symbols.ToString(Value::Int(Value::kMinInt)),
+            "-2305843009213693952");
+  EXPECT_EQ(symbols.ToString(sym42), "42");
 }
 
 }  // namespace

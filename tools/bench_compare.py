@@ -30,12 +30,16 @@ too loose to mean anything. Wall time is therefore gated two ways:
     probe into a cross product is 5-100x) is caught immediately without
     the cap firing on noise.
 
-peak_bytes stays per-entry at --tolerance: allocation is deterministic,
-so real growth shows up immediately. tuples_per_s is informational only
-(it moves inversely with wall time). Per-entry wall swings beyond
---tolerance are still printed (REGRESSED/FASTER) for the log, but only
-the geomean, the blowup cap, peak_bytes, and missing entries fail the
-gate.
+peak_bytes is gated exactly, per entry, in both directions, wherever the
+baseline records more than 0: it is the governor-accounted byte count,
+which is deterministic (the bench suite reads the same on every run and
+host), so any difference means the accounting or the work changed. A
+drop fails too, because a change that moves accounting on purpose must
+re-record the entries it moved (--update) rather than pass silently.
+tuples_per_s is informational only (it moves inversely with wall time).
+Per-entry wall swings beyond --tolerance are still printed
+(SLOWER/FASTER) for the log, but only the geomean, the blowup cap,
+peak_bytes, and missing entries fail the gate.
 
 A baseline entry absent from the current run is a regression: a bench
 that silently stopped running (renamed, crashed before --json, dropped
@@ -79,8 +83,7 @@ def main():
     ap.add_argument("--current", required=True,
                     help="directory of per-bench --json outputs")
     ap.add_argument("--tolerance", type=float, default=0.15,
-                    help="bound on the wall_ns geomean ratio and on "
-                         "per-entry peak_bytes")
+                    help="bound on the wall_ns geomean ratio")
     ap.add_argument("--blowup", type=float, default=3.0,
                     help="per-entry wall_ns hard cap (catastrophic "
                          "regression catcher)")
@@ -136,12 +139,11 @@ def main():
                       f"({speedup:.2f}x faster)")
 
         b, c = base["peak_bytes"], cur["peak_bytes"]
-        if b > 0:
-            ratio = c / b
-            if ratio > 1 + args.tolerance:
-                failures.append((name, f"peak_bytes {ratio:.2f}x"))
-                print(f"  REGRESSED {name} peak_bytes: {b} -> {c} "
-                      f"({ratio:.2f}x, tolerance {args.tolerance:.0%})")
+        if b > 0 and c != b:
+            failures.append((name, f"peak_bytes {b} -> {c}"))
+            print(f"  CHANGED  {name} peak_bytes: {b} -> {c} "
+                  f"({c - b:+d} bytes; gated exactly, re-record with "
+                  f"--update if intended)")
 
     for name, metric, b, c, ratio in noted:
         print(f"  SLOWER   {name} {metric}: {b} -> {c} ({ratio:.2f}x, "

@@ -105,6 +105,31 @@ class BenchCompareTest(unittest.TestCase):
         self.write_current("b", {"b/0/seminaive": entry(1000, peak_bytes=200)})
         self.assertEqual(self.run_compare("--tolerance", "0.15"), 1)
 
+    def test_peak_bytes_one_byte_more_fails(self):
+        # peak_bytes is deterministic, so the gate is exact: a byte more
+        # fails even far inside the wall-time tolerance.
+        self.write_baseline({"b/0/seminaive": entry(1000, peak_bytes=4096)})
+        self.write_current("b", {"b/0/seminaive": entry(1000, peak_bytes=4097)})
+        self.assertEqual(self.run_compare("--tolerance", "0.15"), 1)
+
+    def test_peak_bytes_one_byte_less_fails(self):
+        # A drop fails too: a change that moves accounting on purpose
+        # re-records the entries it moved.
+        self.write_baseline({"b/0/seminaive": entry(1000, peak_bytes=4096)})
+        self.write_current("b", {"b/0/seminaive": entry(1000, peak_bytes=4095)})
+        self.assertEqual(self.run_compare("--tolerance", "0.15"), 1)
+
+    def test_peak_bytes_equal_passes(self):
+        self.write_baseline({"b/0/seminaive": entry(1000, peak_bytes=4096)})
+        self.write_current("b", {"b/0/seminaive": entry(1000, peak_bytes=4096)})
+        self.assertEqual(self.run_compare("--tolerance", "0.15"), 0)
+
+    def test_peak_bytes_zero_baseline_is_not_gated(self):
+        # Entries that record no accounted bytes (0) gate nothing.
+        self.write_baseline({"b/0/seminaive": entry(1000, peak_bytes=0)})
+        self.write_current("b", {"b/0/seminaive": entry(1000, peak_bytes=512)})
+        self.assertEqual(self.run_compare("--tolerance", "0.15"), 0)
+
     def test_missing_baseline_entry_fails(self):
         # The bug this PR fixes: a baseline-only entry used to print
         # "MISSING" and exit 0, letting a silently-dropped bench pass CI.
