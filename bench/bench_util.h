@@ -9,6 +9,7 @@
 #ifndef SEPREC_BENCH_BENCH_UTIL_H_
 #define SEPREC_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -224,6 +225,19 @@ inline double FitExponentialBaseLog2(const std::vector<double>& xs,
   double denom = n * sxx - sx * sx;
   if (denom == 0) return 0.0;
   return (n * sxy - sx * sy) / denom;
+}
+
+// The median of `values`, which must not be empty (the mean of the middle
+// two for an even count). A same-run wall-time gate takes the median of
+// per-rep ratios over interleaved reps: both sides of each ratio see the
+// same host noise, and one noisy rep cannot flip the gate as it can flip
+// a comparison of means.
+inline double Median(std::vector<double> values) {
+  SEPREC_CHECK(!values.empty());
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2;
 }
 
 inline std::string Fmt(double v) {

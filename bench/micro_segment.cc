@@ -149,6 +149,7 @@ void Run() {
   // bit for bit outside the timer.
   double merge_total = 0;
   double hash_total = 0;
+  std::vector<double> speedups;  // hash / merge, per timed rep
   size_t out_rows = 0;
   for (size_t rep = 0; rep <= kReps; ++rep) {
     double merge_s = 0;
@@ -179,6 +180,7 @@ void Run() {
     if (rep > 0) {
       merge_total += merge_s;
       hash_total += hash_s;
+      speedups.push_back(hash_s / merge_s);
     }
   }
   double merge_s = merge_total / kReps;
@@ -213,8 +215,9 @@ void Run() {
   double tsv_s = tsv_total / kReps;
   std::filesystem::remove_all(dir);
 
-  // Acceptance gates, held over time by the baseline comparison.
-  SEPREC_CHECK(merge_s * 1.5 <= hash_s);
+  // Acceptance gates, held over time by the baseline comparison. Merge
+  // must beat hash by 1.5x in the median of the interleaved reps.
+  SEPREC_CHECK(bench::Median(speedups) >= 1.5);
   SEPREC_CHECK(mmap_s < tsv_s);
 
   bench::Table table({"phase", "mean", "tuples/s", "note"});

@@ -111,38 +111,47 @@ void Run() {
   }
   double append_s = append_total / kReps;
 
-  // recover: replay the dir the last append rep left behind.
+  // recover vs tsv_reload: replay the dir the last append rep left
+  // behind, and load the same tuples through the text path. The two
+  // alternate rep by rep so each ratio compares runs under the same host
+  // conditions.
   double recover_total = 0;
+  double reload_total = 0;
+  std::vector<double> ratios;  // recover / reload, per timed rep
   for (size_t rep = 0; rep <= kReps; ++rep) {
-    Database db;
-    WallTimer timer;
-    StatusOr<std::unique_ptr<DurableStorage>> storage =
-        DurableStorage::Open(dir, &db, opts, nullptr);
-    double seconds = timer.Seconds();
-    SEPREC_CHECK(storage.ok());
-    SEPREC_CHECK(db.TotalTuples() == expected_tuples);
-    if (rep > 0) recover_total += seconds;
+    double recover_rep = 0;
+    {
+      Database db;
+      WallTimer timer;
+      StatusOr<std::unique_ptr<DurableStorage>> storage =
+          DurableStorage::Open(dir, &db, opts, nullptr);
+      recover_rep = timer.Seconds();
+      SEPREC_CHECK(storage.ok());
+      SEPREC_CHECK(db.TotalTuples() == expected_tuples);
+    }
+    double reload_rep = 0;
+    {
+      Database db;
+      std::istringstream in(tsv);
+      WallTimer timer;
+      StatusOr<size_t> added = LoadRelationTsv(&db, "edge", in);
+      reload_rep = timer.Seconds();
+      SEPREC_CHECK(added.ok());
+      SEPREC_CHECK(db.TotalTuples() == expected_tuples);
+    }
+    if (rep > 0) {
+      recover_total += recover_rep;
+      reload_total += reload_rep;
+      ratios.push_back(recover_rep / reload_rep);
+    }
   }
   double recover_s = recover_total / kReps;
-
-  // tsv_reload: the same tuples through the text path.
-  double reload_total = 0;
-  for (size_t rep = 0; rep <= kReps; ++rep) {
-    Database db;
-    std::istringstream in(tsv);
-    WallTimer timer;
-    StatusOr<size_t> added = LoadRelationTsv(&db, "edge", in);
-    double seconds = timer.Seconds();
-    SEPREC_CHECK(added.ok());
-    SEPREC_CHECK(db.TotalTuples() == expected_tuples);
-    if (rep > 0) reload_total += seconds;
-  }
   double reload_s = reload_total / kReps;
   std::filesystem::remove_all(dir);
 
   // Recovery must beat the TSV reload it replaces — the acceptance bar
-  // the baseline gate holds over time.
-  SEPREC_CHECK(recover_s < reload_s);
+  // the baseline gate holds over time — in the median rep.
+  SEPREC_CHECK(bench::Median(ratios) < 1.0);
 
   bench::Table table({"phase", "mean", "tuples/s", "vs tsv_reload"});
   struct Row {

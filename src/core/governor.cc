@@ -1,7 +1,5 @@
 #include "core/governor.h"
 
-#include <cstdio>
-
 #include "eval/trace.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -120,53 +118,6 @@ Status ExecutionContext::ToStatus() const {
     default:
       return ResourceExhaustedError(message());
   }
-}
-
-DatabaseCheckpoint::DatabaseCheckpoint(Database* db) : db_(db) {
-  db_->OpenJournal();
-}
-
-DatabaseCheckpoint::~DatabaseCheckpoint() {
-  if (!active_) return;
-  Status status = Rollback();
-  if (!status.ok()) {
-    std::fprintf(stderr, "[seprec] DatabaseCheckpoint: %s\n",
-                 status.message().c_str());
-  }
-  SEPREC_CHECK(status.ok());
-}
-
-Status DatabaseCheckpoint::Rollback() {
-  if (!active_) return Status::OK();
-  active_ = false;
-  const WriteJournal journal = db_->CloseJournal();
-  // Refuse — before touching anything — if truncation cannot restore a
-  // pre-image exactly: rows present at the checkpoint were erased or
-  // cleared (the epoch moved), or an empty relation gained a base segment.
-  // An empty pre-image truncates to zero whatever the run did in between.
-  for (const WriteJournal::PreImage& pre : journal.pre_images) {
-    const Relation& rel = *pre.relation;
-    const bool exact = pre.slots > 0
-                           ? rel.mutation_epoch() == pre.mutation_epoch
-                           : rel.base_slots() == 0;
-    if (!exact) {
-      return FailedPreconditionError(StrCat(
-          "checkpoint rollback across EraseRows, Clear or AttachBaseSegment "
-          "on relation '",
-          rel.name(),
-          "': rows present at the checkpoint cannot be restored by "
-          "truncation"));
-    }
-  }
-  // Restoring the checkpointed catalog, not mutating it: don't bump the
-  // data generation (closure caches stay valid across rollbacks).
-  for (const std::string& name : journal.created) {
-    db_->Drop(name, /*bump_generation=*/false);
-  }
-  for (const WriteJournal::PreImage& pre : journal.pre_images) {
-    pre.relation->TruncateToSlots(pre.slots);
-  }
-  return Status::OK();
 }
 
 }  // namespace seprec

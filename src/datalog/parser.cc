@@ -1,5 +1,6 @@
 #include "datalog/parser.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "datalog/lexer.h"
@@ -110,7 +111,8 @@ class Parser {
         tokens_[pos_ + 1].text == "is") {
       std::string var = Advance().text;
       Advance();  // 'is'
-      SEPREC_ASSIGN_OR_RETURN(Expr expr, ParseExpr());
+      int depth = 0;
+      SEPREC_ASSIGN_OR_RETURN(Expr expr, ParseExpr(/*nesting=*/0, &depth));
       Literal lit = Literal::MakeAssign(std::move(var), std::move(expr));
       lit.span = SpanFrom(first);
       return lit;
@@ -271,19 +273,39 @@ class Parser {
                         TokenKindToString(Peek().kind)));
   }
 
-  StatusOr<Expr> ParseExpr() {
-    SEPREC_ASSIGN_OR_RETURN(Expr lhs, ParseMulExpr());
+  // The deepest expression tree a rule may hold. The parser and every
+  // later pass walk expressions recursively, so a request nesting
+  // parentheses or chaining operators without bound would exhaust the
+  // stack; like the JSON parser's kMaxDepth, the bound turns that into a
+  // parse error.
+  static constexpr int kMaxExprDepth = 256;
+
+  // Expression depth counts nesting and operator chains alike: a leaf is
+  // 1, and each parenthesis or operator above it adds one. `nesting` is
+  // the number of open parentheses, checked before recursing into
+  // another; `*depth` receives the parsed expression's depth.
+  Status CheckExprDepth(int depth) const {
+    if (depth <= kMaxExprDepth) return Status::OK();
+    return Error(StrCat("expression nested deeper than ", kMaxExprDepth,
+                        " levels"));
+  }
+
+  StatusOr<Expr> ParseExpr(int nesting, int* depth) {
+    SEPREC_ASSIGN_OR_RETURN(Expr lhs, ParseMulExpr(nesting, depth));
     while (At(TokenKind::kPlus) || At(TokenKind::kMinus)) {
       Expr::Op op = At(TokenKind::kPlus) ? Expr::Op::kAdd : Expr::Op::kSub;
       Advance();
-      SEPREC_ASSIGN_OR_RETURN(Expr rhs, ParseMulExpr());
+      int rhs_depth = 0;
+      SEPREC_ASSIGN_OR_RETURN(Expr rhs, ParseMulExpr(nesting, &rhs_depth));
+      *depth = std::max(*depth, rhs_depth) + 1;
+      SEPREC_RETURN_IF_ERROR(CheckExprDepth(*depth));
       lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
-  StatusOr<Expr> ParseMulExpr() {
-    SEPREC_ASSIGN_OR_RETURN(Expr lhs, ParseExprUnit());
+  StatusOr<Expr> ParseMulExpr(int nesting, int* depth) {
+    SEPREC_ASSIGN_OR_RETURN(Expr lhs, ParseExprUnit(nesting, depth));
     while (true) {
       Expr::Op op;
       if (At(TokenKind::kStar)) {
@@ -296,19 +318,25 @@ class Parser {
         return lhs;
       }
       Advance();
-      SEPREC_ASSIGN_OR_RETURN(Expr rhs, ParseExprUnit());
+      int rhs_depth = 0;
+      SEPREC_ASSIGN_OR_RETURN(Expr rhs, ParseExprUnit(nesting, &rhs_depth));
+      *depth = std::max(*depth, rhs_depth) + 1;
+      SEPREC_RETURN_IF_ERROR(CheckExprDepth(*depth));
       lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
     }
   }
 
-  StatusOr<Expr> ParseExprUnit() {
+  StatusOr<Expr> ParseExprUnit(int nesting, int* depth) {
     if (At(TokenKind::kLParen)) {
+      SEPREC_RETURN_IF_ERROR(CheckExprDepth(nesting + 1));
       Advance();
-      SEPREC_ASSIGN_OR_RETURN(Expr inner, ParseExpr());
+      SEPREC_ASSIGN_OR_RETURN(Expr inner, ParseExpr(nesting + 1, depth));
+      SEPREC_RETURN_IF_ERROR(CheckExprDepth(++*depth));
       SEPREC_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
       return inner;
     }
     SEPREC_ASSIGN_OR_RETURN(Term term, ParseTerm());
+    *depth = 1;
     return Expr::Leaf(std::move(term));
   }
 

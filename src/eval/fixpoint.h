@@ -35,7 +35,8 @@ struct FixpointOptions {
   // When set, the caller owns stop handling: the engine polls this context,
   // stops cleanly at the first tripped limit, and returns OK with whatever
   // it materialised so far (the caller inspects context->stopped() and
-  // rolls back or reports a partial result — see QueryProcessor::Answer).
+  // discards those writes or reports a partial result — see
+  // QueryProcessor::Answer).
   // When null, the engine runs a private context and converts a trip into
   // RESOURCE_EXHAUSTED / CANCELLED, leaving the partially materialised
   // relations in `db` — the historical contract for direct engine calls.

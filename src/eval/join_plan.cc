@@ -74,7 +74,8 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
   };
 
   // Resolve each relational literal to its relation up front (creating
-  // empty relations for never-populated EDB predicates).
+  // empty relations for never-populated EDB predicates in the root, where
+  // later loads land).
   std::vector<const Relation*> relations(rule.body.size(), nullptr);
   for (size_t i = 0; i < rule.body.size(); ++i) {
     const Literal& lit = rule.body[i];
@@ -83,7 +84,7 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
     auto it = options.relation_overrides.find(i);
     if (it != options.relation_overrides.end()) name = it->second;
     SEPREC_ASSIGN_OR_RETURN(Relation * rel,
-                            db->CreateRelation(name, lit.atom.arity()));
+                            db->FindOrCreate(name, lit.atom.arity()));
     relations[i] = rel;
   }
 

@@ -84,4 +84,9 @@ uint64_t StatsCatalog::recomputations() const {
   return recomputations_;
 }
 
+size_t StatsCatalog::entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return cache_.size();
+}
+
 }  // namespace seprec

@@ -3,11 +3,11 @@
 // RelationStats carries the tuple count and a per-column distinct-value
 // estimate; StatsCatalog caches one entry per relation and refreshes it
 // lazily whenever the relation's (size, slots, mutation_epoch)
-// fingerprint changes. Inserts and truncates move size or slots; erases
-// and clears — which can otherwise be followed by inserts restoring the
-// exact same extent with different contents — bump the relation's
-// mutation epoch, so readers never need explicit invalidation hooks on
-// the mutation paths.
+// fingerprint changes. Inserts move size and slots; erases, clears and
+// copies — which can otherwise be followed by inserts restoring the exact
+// same extent with different contents — bump the relation's mutation
+// epoch, so readers never need explicit invalidation hooks on the
+// mutation paths.
 //
 // The catalog is owned by Database (see Database::stats()) so statistics
 // survive across plan compilations and the PreparedQuery cache amortizes
@@ -73,8 +73,10 @@ class StatsCatalog {
   // Drops everything (bulk reloads, recovery).
   void Clear();
 
-  // Number of full recomputations performed (test observability).
+  // Number of full recomputations performed, and of cached entries (test
+  // observability).
   uint64_t recomputations() const;
+  size_t entries() const;
 
  private:
   struct Entry {

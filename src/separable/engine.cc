@@ -165,9 +165,11 @@ class SchemaRunner {
         min_rows_per_task_(policy.min_rows_per_task),
         join_order_(join_order) {
     // Atomic: the query service compiles prepared schemas from concurrent
-    // session threads.
-    static std::atomic<int> counter{0};
-    prefix_ = StrCat("$sep", counter.fetch_add(1), "_");
+    // session threads. Unsigned: every compile and one-shot run takes a
+    // number, and a long-lived server must wrap rather than overflow.
+    static std::atomic<uint64_t> counter{0};
+    prefix_ = StrCat("$sep", counter.fetch_add(1, std::memory_order_relaxed),
+                     "_");
   }
 
   ~SchemaRunner() {
@@ -250,10 +252,8 @@ class SchemaRunner {
     return Status::OK();
   }
 
-  // Empties the scratch relations and staging sinks. Run does this itself
-  // on entry; callers that snapshot the database with DatabaseCheckpoint
-  // between runs call it first so the checkpoint records the scratch empty
-  // (truncate-to-zero rollback is then valid whatever a run left behind).
+  // Empties the scratch relations and staging sinks; Run does this on
+  // entry.
   void ClearScratch() {
     carry1_->Clear();
     seen1_->Clear();
@@ -266,7 +266,7 @@ class SchemaRunner {
 
   // Runs the schema from `seeds` (each of width |anchor_positions|) and
   // leaves the seen_2 rows (rest-position values) in seen2() until the
-  // next Run or ClearScratch. Polls `ctx` at every carry/seen round
+  // next Run. Polls `ctx` at every carry/seen round
   // boundary; on a trip the phases stop early and the seen_2 rows
   // harvested so far are still there — every one is a true tuple, so a
   // truncated run yields a sound partial answer.
@@ -789,7 +789,8 @@ struct PreparedSeparable::Impl {
   Program program;
   SeparableRecursion sep;
   // The rules of the IDB predicates the recursion reads, worked out once;
-  // they are still evaluated per request, since rollback drops them.
+  // they are still evaluated per request, since the owner empties its
+  // overlay after every request.
   Program support;
   std::vector<bool> bound;  // the compiled selection shape
   Database* db = nullptr;
@@ -833,8 +834,6 @@ StatusOr<std::unique_ptr<PreparedSeparable>> PreparedSeparable::Compile(
   return std::unique_ptr<PreparedSeparable>(
       new PreparedSeparable(std::move(impl)));
 }
-
-void PreparedSeparable::ClearScratch() { impl_->runner->ClearScratch(); }
 
 bool PreparedSeparable::Matches(const Atom& query) const {
   if (query.predicate != impl_->sep.predicate() ||

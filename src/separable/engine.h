@@ -132,16 +132,13 @@ struct ClosureMaintenance {
 // '$sep*'-scratch relations there. The object is therefore tied to `db`:
 // it must be destroyed before the database, and the relations its plans
 // bind (EDB, support IDB, scratch) must not be Dropped while it lives —
-// truncation/append are fine, which is what checkpoint rollback does.
+// emptying and refilling them is fine. PreparedQuery compiles it into the
+// overlay it owns, which it empties after every execution.
 //
 // Execute answers one concrete selection of that shape. With `reuse`, the
 // phase-1 loop is skipped entirely and seen_1 is seeded from the cached
 // closure; with `capture`, a run whose phase 1 completed (no governor trip
-// during the loop) writes the closure out for caching. Callers that
-// checkpoint the database must call ClearScratch() BEFORE taking the
-// checkpoint: the scratch relations pre-date the checkpoint, so recording
-// them empty makes truncate-to-checkpoint rollback valid whatever the run
-// left behind.
+// during the loop) writes the closure out for caching.
 //
 // Not thread-safe; the service serialises Execute with every other
 // database writer.
@@ -158,14 +155,11 @@ class PreparedSeparable {
 
   // `query` must have the predicate and bound-position set given at
   // Compile time. Support predicates are re-materialised first (the
-  // service rolls them back after every request).
+  // owning overlay is emptied after every request).
   StatusOr<SeparableRunResult> Execute(const Atom& query,
                                        const FixpointOptions& options = {},
                                        const Phase1Closure* reuse = nullptr,
                                        Phase1Closure* capture = nullptr);
-
-  // Empties the persistent scratch relations (and staging sinks).
-  void ClearScratch();
 
   // True when `query` matches the compiled shape.
   bool Matches(const Atom& query) const;

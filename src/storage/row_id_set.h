@@ -71,8 +71,7 @@ class RowIdSet {
   }
 
   // Removes the id whose row equals `row` and returns it, or kNone. The
-  // row must still be readable through `row_of` (erase before truncating
-  // the owner's buffer).
+  // row must still be readable through `row_of`.
   template <typename RowOf>
   uint32_t Erase(std::span<const Value> row, const RowOf& row_of) {
     if (size_ == 0) return kNone;

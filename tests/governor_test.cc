@@ -1,12 +1,11 @@
 // Tests for the execution governor: deadlines, cooperative cancellation,
-// tuple/iteration/byte budgets, checkpoint rollback, and the strategy
-// fallback chain in QueryProcessor::Answer.
+// tuple/iteration/byte budgets, discarding a tripped attempt's writes, and
+// the strategy fallback chain in QueryProcessor::Answer.
 #include "core/governor.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <thread>
 
 #include "core/compiler.h"
@@ -15,9 +14,7 @@
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "storage/database.h"
-#include "storage/segment/snapshot_v3.h"
 #include "util/failpoint.h"
-#include "util/string_util.h"
 
 namespace seprec {
 namespace {
@@ -185,267 +182,6 @@ TEST(MemoryAccountant, DroppingRelationReleasesBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// DatabaseCheckpoint unit tests.
-
-TEST(DatabaseCheckpoint, RollbackDropsNewAndTruncatesGrown) {
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  r->Insert({Value::Int(2)});
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    r->Insert({Value::Int(3)});
-    Relation* s = *db.CreateRelation("s", 1);
-    s->Insert({Value::Int(9)});
-    // Destructor rolls back.
-  }
-  EXPECT_EQ(db.Find("r")->size(), 2u);
-  const std::vector<Value> three = {Value::Int(3)};
-  EXPECT_FALSE(db.Find("r")->Contains(Row(three.data(), 1)));
-  EXPECT_EQ(db.Find("s"), nullptr);
-}
-
-TEST(DatabaseCheckpoint, CommitKeepsChanges) {
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    r->Insert({Value::Int(2)});
-    ASSERT_TRUE(db.CreateRelation("s", 1).ok());
-    checkpoint.Commit();
-  }
-  EXPECT_EQ(db.Find("r")->size(), 2u);
-  EXPECT_NE(db.Find("s"), nullptr);
-}
-
-TEST(DatabaseCheckpoint, RollbackAcrossEraseRowsIsFailedPrecondition) {
-  // Regression: TruncateToSlots cannot resurrect tombstones, so a rollback
-  // spanning an EraseRows (the DRed deletion path) would silently lose the
-  // erased-then-kept prefix rows. It must refuse up front instead — and
-  // leave the database untouched, including relations created after the
-  // checkpoint.
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  r->Insert({Value::Int(2)});
-  DatabaseCheckpoint checkpoint(&db);
-  r->Insert({Value::Int(3)});
-  ASSERT_TRUE(db.CreateRelation("s", 1).ok());
-
-  Relation victims("victims", 1);
-  victims.Insert({Value::Int(1)});
-  ASSERT_EQ(r->EraseRows(victims), 1u);
-
-  Status status = checkpoint.Rollback();
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(status.message().find("EraseRows"), std::string::npos)
-      << status.ToString();
-  // Nothing was truncated or dropped.
-  EXPECT_EQ(db.Find("r")->size(), 2u);  // {2, 3}
-  const std::vector<Value> three = {Value::Int(3)};
-  EXPECT_TRUE(db.Find("r")->Contains(Row(three.data(), 1)));
-  EXPECT_NE(db.Find("s"), nullptr);
-  // A second Rollback on the now-inactive checkpoint is the usual no-op
-  // (and the destructor must not re-attempt and abort).
-  EXPECT_TRUE(checkpoint.Rollback().ok());
-}
-
-TEST(DatabaseCheckpoint, RolledBackRelationStillQueryable) {
-  // After a truncating rollback the hash index must stay consistent:
-  // previously present rows are found, rolled-back rows can be re-inserted.
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    for (int64_t i = 2; i < 50; ++i) r->Insert({Value::Int(i)});
-  }
-  ASSERT_EQ(r->size(), 1u);
-  const std::vector<Value> one = {Value::Int(1)};
-  EXPECT_TRUE(r->Contains(Row(one.data(), 1)));
-  EXPECT_TRUE(r->Insert({Value::Int(2)}));
-  EXPECT_EQ(r->size(), 2u);
-}
-
-std::vector<int64_t> IntRows(const Relation& rel) {
-  std::vector<int64_t> out;
-  rel.ForEachRow([&out](Row row) { out.push_back(row[0].as_int()); });
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-// Clear() of rows present at the checkpoint, then a refill: truncation
-// cannot bring the cleared rows back whatever the refill's size, so
-// Rollback must refuse and leave the database as the run left it.
-void ExpectRollbackAcrossClearRefuses(const std::vector<int64_t>& refill) {
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  for (int64_t v : {1, 2, 3}) r->Insert({Value::Int(v)});
-  DatabaseCheckpoint checkpoint(&db);
-  ASSERT_TRUE(db.CreateRelation("s", 1).ok());
-  r->Clear();
-  for (int64_t v : refill) r->Insert({Value::Int(v)});
-
-  Status status = checkpoint.Rollback();
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
-      << status.ToString();
-  EXPECT_NE(status.message().find("'r'"), std::string::npos)
-      << status.ToString();
-  EXPECT_EQ(IntRows(*db.Find("r")), refill);
-  EXPECT_NE(db.Find("s"), nullptr);
-  EXPECT_TRUE(checkpoint.Rollback().ok());
-}
-
-TEST(DatabaseCheckpoint, RollbackAcrossClearRefilledSmallerRefuses) {
-  ExpectRollbackAcrossClearRefuses({7});
-}
-
-TEST(DatabaseCheckpoint, RollbackAcrossClearRefilledLargerRefuses) {
-  ExpectRollbackAcrossClearRefuses({7, 8, 9, 10});
-}
-
-TEST(DatabaseCheckpoint, ClearingOwnAppendsStillRollsBack) {
-  // The separable engine's carry/seen relations are empty at the
-  // checkpoint and cleared every round: only rows the run appended itself
-  // are cleared, so truncating to zero is exact.
-  Database db;
-  Relation* carry = *db.CreateRelation("carry", 1);
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    for (int64_t round = 0; round < 3; ++round) {
-      carry->Clear();
-      for (int64_t v = 0; v <= round; ++v) carry->Insert({Value::Int(v)});
-    }
-    ASSERT_TRUE(checkpoint.Rollback().ok());
-  }
-  EXPECT_TRUE(db.Find("carry")->empty());
-  EXPECT_EQ(db.Find("carry")->slots(), 0u);
-}
-
-TEST(DatabaseCheckpoint, RollbackAcrossAttachedSegmentRefuses) {
-  // Compaction clears a relation and re-seats it on a base segment. No
-  // truncation detaches a base, so even a relation that was empty at the
-  // checkpoint cannot be restored.
-  const std::string path =
-      StrCat(::testing::TempDir(), "/seprec_governor_attach.v3");
-  Database db;
-  Relation* fresh = *db.CreateRelation("fresh", 1);
-  DatabaseCheckpoint checkpoint(&db);
-  fresh->Insert({Value::Int(5)});
-  ASSERT_TRUE(SaveSnapshotV3File(db, path).ok());
-  ASSERT_TRUE(CompactToSnapshotSegments(&db, path).ok());
-  ASSERT_EQ(fresh->base_slots(), 1u);
-  Status status = checkpoint.Rollback();
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
-      << status.ToString();
-  EXPECT_EQ(IntRows(*fresh), (std::vector<int64_t>{5}));
-  std::remove(path.c_str());
-}
-
-TEST(DatabaseCheckpoint, RecreatedRelationIsGoneAfterRollback) {
-  Database db;
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    Relation* s = *db.CreateRelation("s", 1);
-    s->Insert({Value::Int(1)});
-    db.Drop("s");
-    Relation* again = *db.CreateRelation("s", 2);
-    again->Insert({Value::Int(1), Value::Int(2)});
-  }
-  EXPECT_EQ(db.Find("s"), nullptr);
-  EXPECT_TRUE(db.RelationNames().empty());
-}
-
-TEST(DatabaseCheckpoint, DroppedPreExistingRelationLeavesNoJournalEntry) {
-  // The journal holds a pointer to each written relation; dropping one
-  // inside the checkpoint must remove that entry, or the rollback would
-  // truncate freed memory (caught by the ASan leg).
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  Relation* keep = *db.CreateRelation("keep", 1);
-  keep->Insert({Value::Int(1)});
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    r->Insert({Value::Int(2)});
-    keep->Insert({Value::Int(2)});
-    EXPECT_EQ(db.journaled_relations(), 2u);
-    db.Drop("r");
-    EXPECT_EQ(db.journaled_relations(), 1u);
-    ASSERT_TRUE(checkpoint.Rollback().ok());
-  }
-  EXPECT_EQ(db.Find("r"), nullptr);
-  EXPECT_EQ(IntRows(*db.Find("keep")), (std::vector<int64_t>{1}));
-}
-
-TEST(DatabaseCheckpoint, BackToBackCheckpointsEachRollBack) {
-  // RunChain opens one checkpoint per fallback hop on the same database.
-  Database db;
-  Relation* r = *db.CreateRelation("r", 1);
-  r->Insert({Value::Int(1)});
-  {
-    DatabaseCheckpoint first(&db);
-    r->Insert({Value::Int(2)});
-    ASSERT_TRUE(db.CreateRelation("first", 1).ok());
-  }
-  {
-    DatabaseCheckpoint second(&db);
-    EXPECT_EQ(db.journaled_relations(), 0u);
-    r->Insert({Value::Int(3)});
-    ASSERT_TRUE(db.CreateRelation("second", 1).ok());
-    EXPECT_EQ(db.journaled_relations(), 1u);
-  }
-  EXPECT_EQ(IntRows(*r), (std::vector<int64_t>{1}));
-  EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"r"});
-  {
-    DatabaseCheckpoint third(&db);
-    r->Insert({Value::Int(4)});
-    third.Commit();
-  }
-  EXPECT_EQ(IntRows(*r), (std::vector<int64_t>{1, 4}));
-  // A committed checkpoint closed its journal: later writes record nothing.
-  r->Insert({Value::Int(5)});
-  EXPECT_EQ(db.journaled_relations(), 0u);
-}
-
-TEST(DatabaseCheckpointDeathTest, NestedCheckpointFailsCheck) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Database db;
-  DatabaseCheckpoint outer(&db);
-  EXPECT_DEATH(DatabaseCheckpoint inner(&db), "already open");
-}
-
-TEST(DatabaseCheckpoint, JournalsOnlyTheWriteSet) {
-  // Checkpoint cost must not depend on catalog size: with 10,000 idle
-  // relations, a run that writes two of them journals exactly two.
-  Database db;
-  for (int i = 0; i < 10000; ++i) {
-    Relation* idle = *db.CreateRelation(StrCat("idle", i), 1);
-    idle->Insert({Value::Int(i)});
-  }
-  Relation* a = db.Find("idle17");
-  Relation* b = db.Find("idle9001");
-  {
-    DatabaseCheckpoint checkpoint(&db);
-    EXPECT_EQ(db.journaled_relations(), 0u);
-    for (int64_t v = 0; v < 100; ++v) {
-      a->Insert({Value::Int(-v - 1)});
-      b->Insert({Value::Int(-v - 1)});
-    }
-    // A relation created inside is logged by name, not journaled.
-    Relation* scratch = *db.CreateRelation("$scratch", 1);
-    scratch->Insert({Value::Int(1)});
-    EXPECT_EQ(db.journaled_relations(), 2u);
-  }
-  EXPECT_EQ(db.journaled_relations(), 0u);
-  EXPECT_EQ(IntRows(*a), (std::vector<int64_t>{17}));
-  EXPECT_EQ(IntRows(*b), (std::vector<int64_t>{9001}));
-  EXPECT_EQ(db.Find("$scratch"), nullptr);
-  EXPECT_EQ(db.RelationNames().size(), 10000u);
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: budgets through the QueryProcessor (partial contract).
 
 TEST(Governor, DeadlineYieldsPartialResult) {
@@ -462,7 +198,7 @@ TEST(Governor, DeadlineYieldsPartialResult) {
   ASSERT_TRUE(result->degradation.has_value());
   EXPECT_EQ(result->degradation->cause, StopCause::kDeadline);
   EXPECT_LT(result->answer.size(), 119u);
-  // Rollback: no IDB or scratch relations linger.
+  // The attempt's overlay was discarded: no IDB or scratch relations.
   EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"edge"});
 }
 
@@ -481,7 +217,8 @@ TEST(Governor, ByteBudgetYieldsPartialAndRollsBack) {
   ASSERT_TRUE(result->degradation.has_value());
   EXPECT_EQ(result->degradation->cause, StopCause::kBytes);
   EXPECT_EQ(db.Find("tc"), nullptr);
-  // Rollback returns the accounted footprint to its pre-query level.
+  // Discarding the overlay returns the accounted footprint to its
+  // pre-query level.
   EXPECT_EQ(db.accountant().bytes(), baseline);
   // The same query without a budget completes and commits.
   auto full = qp->Answer(ParseAtomOrDie("tc(v0, Y)"), &db,
@@ -609,7 +346,7 @@ TEST(Governor, FallbackChainReachesSemiNaive) {
     EXPECT_EQ(d.code, "G001");
     EXPECT_EQ(d.severity, Severity::kNote);
   }
-  // The failed attempts were rolled back before the retry.
+  // The failed attempts' overlays were discarded before the retry.
   EXPECT_EQ(Failpoints::FireCount("compiler.separable"), 1u);
   EXPECT_EQ(Failpoints::FireCount("compiler.magic"), 1u);
 }

@@ -128,7 +128,7 @@ TEST(Integration, BudgetsPropagateThroughProcessor) {
   EXPECT_EQ(result->degradation->cause, StopCause::kIterations);
   EXPECT_LT(result->answer.size(), 300u);
   EXPECT_GT(result->answer.size(), 0u);
-  // Rollback: the scratch/IDB relations of the attempt are gone.
+  // The attempt's overlay was discarded: its IDB relations are gone.
   EXPECT_EQ(db.Find("tc"), nullptr);
 }
 

@@ -205,7 +205,7 @@ TEST(Metamorphic, PartialAnswersAreSubsetsOfFullAnswers) {
     if (limited->partial) {
       saw_partial = true;
       EXPECT_LT(subset.size(), full_strings.size()) << "budget " << budget;
-      // Rollback left no trace of the truncated attempt.
+      // The truncated attempt left no trace.
       EXPECT_EQ(db.RelationNames(), names_before) << "budget " << budget;
     }
   }

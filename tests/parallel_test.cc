@@ -223,7 +223,7 @@ TEST(Parallel, BudgetTripsDegradeToSoundSubsets) {
         << trip.name;
     if (limited->partial) {
       saw_partial = true;
-      // Rollback left no trace of the truncated parallel attempt.
+      // The truncated parallel attempt left no trace.
       EXPECT_EQ(db.RelationNames(), names_before) << trip.name;
     }
   }

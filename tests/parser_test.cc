@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "datalog/diagnostics.h"
+
 namespace seprec {
 namespace {
 
@@ -123,6 +127,40 @@ TEST(Parser, ErrorsCarryLineAndColumn) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("line 2, col 5"), std::string::npos)
       << bad.status().message();
+}
+
+// `levels` nested parentheses around 1, or a chain of `levels` additions.
+std::string NestedAssignment(int levels) {
+  return "t(X, Y) :- p(X) & Y is " + std::string(levels, '(') + "1" +
+         std::string(levels, ')') + ".";
+}
+std::string ChainedAssignment(int levels) {
+  std::string text = "t(X, Y) :- p(X) & Y is 1";
+  for (int i = 0; i < levels; ++i) text += " + 1";
+  return text + ".";
+}
+
+TEST(Parser, DeepExpressionsAreAParseError) {
+  // Both shapes once crashed the parser or a later pass by recursing once
+  // per level; now they are refused with a structured P001 error.
+  for (const std::string& text :
+       {NestedAssignment(5000), ChainedAssignment(20000)}) {
+    DiagnosticSink sink;
+    auto unit = ParseUnit(text, &sink);
+    ASSERT_FALSE(unit.ok());
+    EXPECT_EQ(unit.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(unit.status().message().find("nested deeper than 256"),
+              std::string::npos)
+        << unit.status().message();
+    ASSERT_EQ(sink.diagnostics().size(), 1u);
+    EXPECT_EQ(sink.diagnostics()[0].code, "P001");
+    EXPECT_EQ(sink.diagnostics()[0].span.line, 1);
+  }
+  // Depth 256 is the bound: a leaf is 1, each level adds one.
+  EXPECT_TRUE(ParseUnit(NestedAssignment(255)).ok());
+  EXPECT_TRUE(ParseUnit(ChainedAssignment(255)).ok());
+  EXPECT_FALSE(ParseUnit(NestedAssignment(256)).ok());
+  EXPECT_FALSE(ParseUnit(ChainedAssignment(256)).ok());
 }
 
 TEST(Parser, AstCarriesSourceSpans) {

@@ -68,10 +68,10 @@ TEST(Stats, CacheRefreshesAfterClear) {
 }
 
 TEST(Stats, EraseAndRestoreSameExtentRecomputes) {
-  // Regression: the DRed deletion path (EraseRows, possibly followed by a
-  // governor rollback and fresh inserts) can restore the exact (size,
-  // slots) extent with DIFFERENT contents. Without the mutation epoch in
-  // the fingerprint the catalog served the stale distinct counts.
+  // Regression: the DRed deletion path (EraseRows) and an overlay reset
+  // (Clear) followed by fresh inserts can restore the exact (size, slots)
+  // extent with DIFFERENT contents. Without the mutation epoch in the
+  // fingerprint the catalog served the stale distinct counts.
   Database db;
   ASSERT_TRUE(db.AddFact("e", {"a", "b"}).ok());
   ASSERT_TRUE(db.AddFact("e", {"c", "d"}).ok());
@@ -83,7 +83,7 @@ TEST(Stats, EraseAndRestoreSameExtentRecomputes) {
                             db.symbols().Intern("b")};
   victims.Insert(Row(row.data(), row.size()));
   ASSERT_EQ(rel->EraseRows(victims), 1u);
-  rel->TruncateToSlots(0);
+  rel->Clear();
   ASSERT_TRUE(db.AddFact("e", {"x", "y"}).ok());
   ASSERT_TRUE(db.AddFact("e", {"x", "z"}).ok());
   // Same size (2) and slot count (2) as the cached entry, new contents.
