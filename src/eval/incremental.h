@@ -51,7 +51,10 @@ class TraceSink;
 class IncrementalEngine {
  public:
   // Validates the program (safe, positive, no aggregates) and compiles
-  // the delta/overdelete/rederive plan sets. `db` must outlive the engine.
+  // the delta/overdelete/rederive plan sets. Each predicate's relation is
+  // found or created with Database::FindOrCreate, so in an overlay the
+  // '$'-named ones live there and the others in the root; the '$inc'
+  // deltas are the overlay's own. `db` must outlive the engine.
   static StatusOr<IncrementalEngine> Create(Program program, Database* db);
 
   IncrementalEngine(IncrementalEngine&&) = default;
