@@ -1,14 +1,16 @@
-// Conjunctive-query containment via the canonical-database (freezing)
-// test [Chandra & Merlin 1977] — the machinery behind the paper's Theorem
-// 2.1 proof: two expansion strings define the same relation iff there are
-// containment mappings both ways.
+// Conjunctive-query containment by containment mappings [Chandra &
+// Merlin 1977] — the machinery behind the paper's Theorem 2.1 proof: two
+// expansion strings define the same relation iff there are containment
+// mappings both ways.
 //
 // A conjunctive query here is a set of positive atoms plus a tuple of
 // distinguished terms (the head). Query A *contains* query B (every
 // answer of B is an answer of A on every database) iff there is a
-// containment mapping from A's atoms to B's atoms fixing the
-// distinguished variables — equivalently, iff evaluating A over B's
-// frozen atoms yields B's frozen head.
+// containment mapping from A's atoms to B's atoms that takes A's head to
+// B's head. Contains searches for one directly: it maps the head, then
+// each atom of A onto an atom of B with the same predicate, backtracking
+// on an explicit stack, so no database is built and the input never sets
+// the depth of the thread's stack.
 #ifndef SEPREC_DATALOG_CONTAINMENT_H_
 #define SEPREC_DATALOG_CONTAINMENT_H_
 
@@ -26,7 +28,10 @@ struct ConjunctiveQuery {
 };
 
 // True iff `general` contains `specific` (a containment mapping
-// general -> specific exists). Fails on arity-inconsistent inputs.
+// general -> specific exists). INVALID_ARGUMENT when the head arities
+// differ or a predicate is used at two arities; false when a head
+// variable of `general` occurs in none of its atoms or `general` uses a
+// predicate that `specific` does not.
 StatusOr<bool> Contains(const ConjunctiveQuery& general,
                         const ConjunctiveQuery& specific);
 

@@ -328,7 +328,11 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
         }
         continue;
       }
-      if (slot_of.count(arg.name)) {
+      // A variable this atom binds at an earlier column is checked against
+      // that binding; probing on it would key the index by a slot the row
+      // has not filled yet.
+      auto seen = bound_in_this_atom.find(arg.name);
+      if (seen == bound_in_this_atom.end() && slot_of.count(arg.name)) {
         if (options.disable_indexes) {
           Step::RowAction action;
           action.col = static_cast<uint32_t>(c);
@@ -342,7 +346,6 @@ StatusOr<RulePlan> RulePlan::Compile(const Rule& rule, Database* db,
         }
         continue;
       }
-      auto seen = bound_in_this_atom.find(arg.name);
       Step::RowAction action;
       action.col = static_cast<uint32_t>(c);
       if (seen != bound_in_this_atom.end()) {

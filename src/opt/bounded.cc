@@ -200,15 +200,16 @@ class BoundedPass : public Pass {
     // because containment is preserved under further rule application.
     bool bounded = false;
     size_t bound = 0;
-    std::vector<const ExpansionString*> shallow;
+    std::vector<ConjunctiveQuery> shallow;
     for (size_t k = 0; k <= max_bound && !bounded; ++k) {
-      for (const ExpansionString* s : by_depth[k]) shallow.push_back(s);
+      for (const ExpansionString* s : by_depth[k]) {
+        shallow.push_back(FromExpansion(*s, head));
+      }
       bool all_covered = true;
       for (const ExpansionString* deep : by_depth[k + 1]) {
         ConjunctiveQuery specific = FromExpansion(*deep, head);
         bool covered = false;
-        for (const ExpansionString* s : shallow) {
-          ConjunctiveQuery general = FromExpansion(*s, head);
+        for (const ConjunctiveQuery& general : shallow) {
           StatusOr<bool> contains = Contains(general, specific);
           if (contains.ok() && contains.value()) {
             covered = true;
@@ -236,12 +237,12 @@ class BoundedPass : public Pass {
     // mention `pred` nowhere, so the predicate leaves its recursive SCC.
     const SourceSpan span = program->RulesFor(pred).front()->span;
     std::vector<Rule> replacement;
-    for (const ExpansionString* s : shallow) {
+    for (const ConjunctiveQuery& s : shallow) {
       Rule rule;
       rule.head = head;
       rule.head.span = span;
       rule.span = span;
-      for (const Atom& atom : s->atoms) {
+      for (const Atom& atom : s.atoms) {
         rule.body.push_back(Literal::MakeAtom(atom));
       }
       if (!UnrestrictedVars(rule).empty()) {

@@ -75,6 +75,27 @@ TEST(Cli, RunWithTsvData) {
   EXPECT_NE(r.output.find("3 answer(s)"), std::string::npos);
 }
 
+// h(X) :- e(X, X) holds only for the self loop e(c, c). Separable and
+// Counting refuse the non-recursive h; every strategy that answers must
+// give the one correct tuple.
+TEST(Cli, RepeatedVariableInAtomAnswersAlikeUnderEveryStrategy) {
+  size_t answered = 0;
+  for (const char* strategy : {"auto", "separable", "magic", "counting",
+                               "qsqr", "nonrecursive", "seminaive", "naive"}) {
+    CliResult r = RunCli(
+        StrCat("run ", Data("selfloop.dl"), " --strategy ", strategy));
+    if (r.exit_code != 0) {
+      EXPECT_NE(r.output.find("FAILED_PRECONDITION"), std::string::npos)
+          << strategy << ": " << r.output;
+      continue;
+    }
+    ++answered;
+    EXPECT_NE(r.output.find("\n(c)\n% 1 answer(s) via "), std::string::npos)
+        << strategy << ": " << r.output;
+  }
+  EXPECT_EQ(answered, 6u);
+}
+
 TEST(Cli, RunWithTraceWritesJsonLines) {
   std::string trace_path =
       StrCat(::testing::TempDir(), "/cli_trace_test.jsonl");

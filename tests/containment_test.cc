@@ -5,11 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "datalog/parser.h"
+#include "eval/join_plan.h"
 #include "gen/workloads.h"
 #include "separable/detection.h"
+#include "storage/database.h"
+#include "util/string_util.h"
 
 namespace seprec {
 namespace {
@@ -92,6 +101,252 @@ TEST(Containment, HeadArityMismatchRejected) {
   ConjunctiveQuery a = MakeCq("h(X)", "e(X).");
   ConjunctiveQuery b = MakeCq("h(X, X)", "e(X).");
   EXPECT_FALSE(Contains(a, b).ok());
+}
+
+TEST(Containment, EmptyBodyWithConstantHead) {
+  ConjunctiveQuery constant;
+  constant.head = {Term::Sym("a"), Term::Int(7)};
+  ConjunctiveQuery same = MakeCq("h(a, 7)", "e(X, Y).");
+  ConjunctiveQuery other = MakeCq("h(a, 8)", "e(X, Y).");
+  ConjunctiveQuery open = MakeCq("h(a, Y)", "e(X, Y).");
+  EXPECT_TRUE(*Contains(constant, same));
+  EXPECT_FALSE(*Contains(constant, other));
+  EXPECT_FALSE(*Contains(constant, open));
+  EXPECT_TRUE(*Contains(constant, constant));
+  ConjunctiveQuery boolean;
+  EXPECT_TRUE(*Contains(boolean, boolean));
+}
+
+TEST(Containment, PredicateMissingFromSpecific) {
+  ConjunctiveQuery general = MakeCq("h(X)", "e(X, Y). f(Y).");
+  ConjunctiveQuery specific = MakeCq("h(X)", "e(X, Y). g(Y).");
+  auto result = Contains(general, specific);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(*result);
+}
+
+TEST(Containment, ArityClashesAreErrors) {
+  ConjunctiveQuery unary = MakeCq("h(X)", "e(X).");
+  ConjunctiveQuery binary = MakeCq("h(X)", "e(X, X).");
+  EXPECT_EQ(Contains(unary, binary).status().code(),
+            StatusCode::kInvalidArgument);
+  ConjunctiveQuery clash = MakeCq("h(X)", "e(X). e(X, X).");
+  EXPECT_EQ(Contains(unary, clash).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Contains(clash, unary).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// e(X0, X1), e(X1, X2), ..., e(X{n-1}, Xn) with head (X0, Xn), optionally
+// without the link that starts at X{skip}.
+ConjunctiveQuery Chain(size_t n, size_t skip = SIZE_MAX) {
+  ConjunctiveQuery q;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == skip) continue;
+    Atom atom;
+    atom.predicate = "e";
+    atom.args = {Term::Var(StrCat("X", i)), Term::Var(StrCat("X", i + 1))};
+    q.atoms.push_back(std::move(atom));
+  }
+  q.head = {Term::Var("X0"), Term::Var(StrCat("X", n))};
+  return q;
+}
+
+// The search keeps its own stack, so the input sets its depth and not the
+// thread's.
+TEST(Containment, LongChainNeedsNoRecursion) {
+  ConjunctiveQuery chain = Chain(2000);
+  ConjunctiveQuery broken = Chain(2000, /*skip=*/1000);
+  EXPECT_TRUE(*Contains(chain, chain));
+  EXPECT_FALSE(*Contains(chain, broken));
+  // Every link of the broken chain is a link of the whole one.
+  EXPECT_TRUE(*Contains(broken, chain));
+}
+
+// ---- Differential check against the canonical-database algorithm ---------
+
+// The canonical-database test: freeze `specific` into a database (each
+// variable becomes a fresh symbol) and evaluate `general` over it as a
+// rule; `general` contains `specific` iff the answer holds `specific`'s
+// frozen head.
+StatusOr<bool> ReferenceContains(const ConjunctiveQuery& general,
+                                 const ConjunctiveQuery& specific) {
+  Database db;
+  auto freeze = [&db](const Term& term) {
+    if (term.IsVar()) return db.symbols().Intern(StrCat("$frz$", term.name));
+    if (term.kind == Term::Kind::kInt) return Value::Int(term.int_value);
+    return db.symbols().Intern(term.name);
+  };
+  for (const Atom& atom : specific.atoms) {
+    SEPREC_ASSIGN_OR_RETURN(Relation * rel,
+                            db.CreateRelation(atom.predicate, atom.arity()));
+    std::vector<Value> row;
+    for (const Term& t : atom.args) row.push_back(freeze(t));
+    rel->Insert(Row(row.data(), row.size()));
+  }
+  Rule rule;
+  rule.head.predicate = "$ans";
+  rule.head.args = general.head;
+  std::set<std::string> body_vars;
+  for (const Atom& atom : general.atoms) {
+    rule.body.push_back(Literal::MakeAtom(atom));
+    CollectVars(atom, &body_vars);
+  }
+  for (const Term& t : general.head) {
+    if (t.IsVar() && !body_vars.count(t.name)) return false;
+  }
+  SEPREC_ASSIGN_OR_RETURN(RulePlan plan, RulePlan::Compile(rule, &db));
+  Relation answers("$ans", general.head.size());
+  plan.ExecuteInto(&answers);
+  if (specific.head.size() != general.head.size()) {
+    return InvalidArgumentError("head arities differ");
+  }
+  std::vector<Value> target;
+  for (const Term& t : specific.head) target.push_back(freeze(t));
+  return answers.Contains(Row(target.data(), target.size()));
+}
+
+// Random pairs over predicates of arity 1 and 2, with repeated variables,
+// symbol and integer constants, head arities 0-2, and now and then a head
+// arity mismatch or a predicate used at two arities. Half the pairs build
+// `specific` as an image of `general` plus extra atoms, so that many are
+// contained.
+class PairGenerator {
+ public:
+  explicit PairGenerator(uint64_t seed) : rng_(seed) {}
+
+  void Next(ConjunctiveQuery* general, ConjunctiveQuery* specific) {
+    for (size_t& arity : arities_) arity = 1 + Below(2);
+    size_t head_arity = Below(3);
+    *general = RandomQuery(Below(5), head_arity);
+    if (Below(2) == 0) {
+      // An image of `general` under a random substitution, plus extras.
+      std::map<std::string, Term> image;
+      auto map_term = [&](const Term& t) {
+        if (!t.IsVar()) return t;
+        auto it = image.find(t.name);
+        if (it == image.end()) it = image.emplace(t.name, RandomTerm()).first;
+        return it->second;
+      };
+      specific->atoms.clear();
+      for (const Atom& atom : general->atoms) {
+        Atom mapped = atom;
+        for (Term& t : mapped.args) t = map_term(t);
+        specific->atoms.push_back(std::move(mapped));
+      }
+      ConjunctiveQuery extra = RandomQuery(Below(3), 0);
+      for (Atom& atom : extra.atoms) specific->atoms.push_back(atom);
+      std::shuffle(specific->atoms.begin(), specific->atoms.end(), rng_);
+      specific->atoms.resize(std::min<size_t>(specific->atoms.size(), 6));
+      specific->head.clear();
+      for (const Term& t : general->head) specific->head.push_back(map_term(t));
+    } else {
+      *specific = RandomQuery(Below(7), head_arity);
+    }
+    if (Below(20) == 0) {
+      specific->head.push_back(RandomTerm());  // head arities differ
+    }
+  }
+
+ private:
+  size_t Below(size_t n) { return static_cast<size_t>(rng_() % n); }
+
+  Term RandomTerm() {
+    static const char* kVars[] = {"X", "Y", "Z", "W"};
+    switch (Below(10)) {
+      case 0:
+        return Term::Sym(Below(2) == 0 ? "a" : "b");
+      case 1:
+        return Term::Int(static_cast<int64_t>(Below(2)));
+      default:
+        return Term::Var(kVars[Below(4)]);
+    }
+  }
+
+  ConjunctiveQuery RandomQuery(size_t atoms, size_t head_arity) {
+    static const char* kPredicates[] = {"p", "q", "r"};
+    ConjunctiveQuery q;
+    std::vector<Term> vars;
+    for (size_t i = 0; i < atoms; ++i) {
+      size_t p = Below(3);
+      Atom atom;
+      atom.predicate = kPredicates[p];
+      size_t arity = arities_[p];
+      if (Below(40) == 0) arity = 3 - arity;  // the other arity
+      for (size_t c = 0; c < arity; ++c) {
+        atom.args.push_back(RandomTerm());
+        if (atom.args.back().IsVar()) vars.push_back(atom.args.back());
+      }
+      q.atoms.push_back(std::move(atom));
+    }
+    for (size_t i = 0; i < head_arity; ++i) {
+      if (!vars.empty() && Below(8) != 0) {
+        q.head.push_back(vars[Below(vars.size())]);
+      } else {
+        q.head.push_back(RandomTerm());
+      }
+    }
+    return q;
+  }
+
+  std::mt19937_64 rng_;
+  size_t arities_[3] = {};  // of p, q and r in the current pair
+};
+
+std::string Describe(const ConjunctiveQuery& q) {
+  std::vector<std::string> parts;
+  for (const Atom& atom : q.atoms) parts.push_back(atom.ToString());
+  std::vector<std::string> head;
+  for (const Term& t : q.head) head.push_back(t.ToString());
+  return StrCat("(", StrJoin(head, ", "), ") :- ", StrJoin(parts, ", "));
+}
+
+TEST(Containment, ZeroArityAtomsAgreeWithCanonicalDatabase) {
+  Atom flag;
+  flag.predicate = "flag";
+  ConjunctiveQuery with_flag = MakeCq("h(X)", "e(X).");
+  with_flag.atoms.push_back(flag);
+  ConjunctiveQuery without = MakeCq("h(X)", "e(X).");
+  for (const auto& [general, specific] :
+       {std::pair{with_flag, with_flag}, std::pair{with_flag, without},
+        std::pair{without, with_flag}}) {
+    StatusOr<bool> got = Contains(general, specific);
+    StatusOr<bool> want = ReferenceContains(general, specific);
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(*got, *want);
+  }
+  EXPECT_TRUE(*Contains(with_flag, with_flag));
+  EXPECT_FALSE(*Contains(with_flag, without));
+  EXPECT_TRUE(*Contains(without, with_flag));
+}
+
+TEST(Containment, AgreesWithCanonicalDatabaseOnRandomPairs) {
+  PairGenerator gen(/*seed=*/20260);
+  size_t contained = 0;
+  size_t not_contained = 0;
+  size_t errors = 0;
+  for (size_t i = 0; i < 20000; ++i) {
+    ConjunctiveQuery general;
+    ConjunctiveQuery specific;
+    gen.Next(&general, &specific);
+    StatusOr<bool> got = Contains(general, specific);
+    StatusOr<bool> want = ReferenceContains(general, specific);
+    ASSERT_EQ(got.status().code(), want.status().code())
+        << "pair " << i << ": " << Describe(general) << " vs "
+        << Describe(specific) << ": " << got.status().ToString() << " / "
+        << want.status().ToString();
+    if (!want.ok()) {
+      ++errors;
+      continue;
+    }
+    ASSERT_EQ(*got, *want) << "pair " << i << ": " << Describe(general)
+                           << " vs " << Describe(specific);
+    ++(*want ? contained : not_contained);
+  }
+  // Every outcome is well represented, so agreement means something.
+  EXPECT_GT(contained, 2000u);
+  EXPECT_GT(not_contained, 2000u);
+  EXPECT_GT(errors, 200u);
 }
 
 // ---- Theorem 2.1 -----------------------------------------------------------

@@ -64,6 +64,26 @@ TEST(JoinPlan, RepeatedVariableInAtom) {
   EXPECT_EQ(RunRule("h(X) :- e(X, X).", &db), "out(a)\n");
 }
 
+// The self loop's symbol is interned after another one, so a plan that
+// looked the repeated variable up before binding it would miss the row.
+TEST(JoinPlan, RepeatedVariableInAtomWhateverTheInternOrder) {
+  Database db;
+  ASSERT_TRUE(db.AddFact("e", {"a", "b"}).ok());
+  ASSERT_TRUE(db.AddFact("e", {"c", "c"}).ok());
+  EXPECT_EQ(RunRule("h(X) :- e(X, X).", &db), "out(c)\n");
+  EXPECT_EQ(RunRule("h(X, Y) :- e(X, X), e(Y, Y).", &db), "out(c, c)\n");
+}
+
+// No self loop: a row whose second column equals some other binding must
+// not pass for one.
+TEST(JoinPlan, RepeatedVariableInAtomWithoutSelfLoop) {
+  Database db;
+  ASSERT_TRUE(db.AddFact("e", {"a", "c"}).ok());
+  ASSERT_TRUE(db.AddFact("e", {"b", "a"}).ok());
+  EXPECT_EQ(RunRule("h(X) :- e(X, X).", &db), "");
+  EXPECT_EQ(RunRule("h(Y) :- e(X, Y), e(Y, Y).", &db), "");
+}
+
 TEST(JoinPlan, RepeatedVariableInHead) {
   Database db;
   ASSERT_TRUE(db.AddFact("e", {"a", "b"}).ok());

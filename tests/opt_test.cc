@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -154,6 +155,134 @@ TEST(PassPipeline, SummaryStringIsStable) {
       nullptr);
   EXPECT_EQ(SummarizeOutcomes(result.outcomes),
             "dead-rules=proved,bounded=abstained,separability=abstained");
+}
+
+// ---- The program families of the adhoc serve workload --------------------
+
+// One family as an ad hoc client sends it: rules in any order, variables
+// renamed, and sometimes a predicate name of its own.
+struct AdhocFamily {
+  const char* name;
+  std::vector<std::string> rules;
+  std::string predicate;
+  std::string query;  // over `predicate`
+  Strategy route;
+  const char* summary;
+};
+
+std::vector<AdhocFamily> AdhocFamilies() {
+  const char* separable =
+      "dead-rules=proved,bounded=abstained,separability=proved";
+  return {
+      {"tc right-linear",
+       {"tc(X, Y) :- edge(X, W) & tc(W, Y).", "tc(X, Y) :- edge(X, Y)."},
+       "tc", "tc(c, Y)", Strategy::kSeparable, separable},
+      {"tc left-linear",
+       {"tc(X, Y) :- tc(X, W) & edge(W, Y).", "tc(X, Y) :- edge(X, Y)."},
+       "tc", "tc(c, Y)", Strategy::kSeparable, separable},
+      {"Example 1.1 buys",
+       {"buys(X, Y) :- friend(X, W) & buys(W, Y).",
+        "buys(X, Y) :- idol(X, W) & buys(W, Y).",
+        "buys(X, Y) :- perfectFor(X, Y)."},
+       "buys", "buys(c, Y)", Strategy::kSeparable, separable},
+      {"Example 1.2 buys",
+       {"buys(X, Y) :- friend(X, W) & buys(W, Y).",
+        "buys(X, Y) :- buys(X, W) & cheaper(Y, W).",
+        "buys(X, Y) :- perfectFor(X, Y)."},
+       "buys", "buys(c, Y)", Strategy::kSeparable, separable},
+      {"contains",
+       {"contains(X, Y) :- part_of(X, Y).",
+        "contains(X, Y) :- part_of(X, W) & contains(W, Y)."},
+       "contains", "contains(X, c)", Strategy::kSeparable, separable},
+      {"same-generation",
+       {"sg(X, Y) :- flat(X, Y).",
+        "sg(X, Y) :- up(X, W) & sg(W, V) & down(V, Y)."},
+       "sg", "sg(c, Y)", Strategy::kMagic,
+       "dead-rules=proved,bounded=abstained,separability=abstained"},
+      {"bounded bt",
+       {"bt(X, Y) :- edge(X, Y).",
+        "bt(X, Y) :- edge(X, W) & bt(W, Y) & edge(X, Y)."},
+       "bt", "bt(c, Y)", Strategy::kNonRecursive,
+       "dead-rules=proved,bounded=rewritten,separability=abstained"},
+  };
+}
+
+void ReplaceAll(std::string* s, const std::string& from,
+                const std::string& to) {
+  for (size_t pos = 0; (pos = s->find(from, pos)) != std::string::npos;
+       pos += to.size()) {
+    s->replace(pos, from.size(), to);
+  }
+}
+
+// `variant`'s text of `family`: shuffled rules, the variables X, Y, W, V
+// renamed, and on odd variants the predicate renamed in rules and query.
+std::pair<std::string, std::string> AdhocVariant(const AdhocFamily& family,
+                                                 uint32_t variant) {
+  std::mt19937 rng(variant);
+  std::vector<std::string> rules = family.rules;
+  std::shuffle(rules.begin(), rules.end(), rng);
+  std::vector<std::string> names = {"A", "B", "C", "D", "F", "G", "H", "K"};
+  std::shuffle(names.begin(), names.end(), rng);
+  std::string predicate = family.predicate;
+  std::string query = family.query;
+  if (variant % 2 == 1) {
+    predicate += StrCat("_r", variant);
+    ReplaceAll(&query, family.predicate + "(", predicate + "(");
+  }
+  std::string program;
+  for (std::string rule : rules) {
+    // Through placeholders, so a new name never meets an old one.
+    const char* old_names[] = {"X", "Y", "W", "V"};
+    for (size_t v = 0; v < 4; ++v) {
+      ReplaceAll(&rule, old_names[v], StrCat("#", v));
+    }
+    for (size_t v = 0; v < 4; ++v) {
+      ReplaceAll(&rule, StrCat("#", v), names[v]);
+    }
+    ReplaceAll(&rule, family.predicate + "(", predicate + "(");
+    program += rule + "\n";
+  }
+  return {program, query};
+}
+
+// Each family's pass verdicts, route and boundedness note, however its
+// text is shuffled and renamed: a flipped containment verdict would
+// change the plan every such request is served with.
+TEST(PassPipeline, AdhocFamiliesKeepTheirVerdicts) {
+  for (const AdhocFamily& family : AdhocFamilies()) {
+    for (uint32_t variant = 0; variant < 4; ++variant) {
+      auto [program, query] = AdhocVariant(family, variant);
+      SCOPED_TRACE(StrCat(family.name, ":\n", program, "?- ", query));
+      auto qp = QueryProcessor::Create(ParseProgramOrDie(program));
+      ASSERT_TRUE(qp.ok()) << qp.status().ToString();
+      auto report = qp->AnalyzeQuery(ParseAtomOrDie(query));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->strategy, family.route);
+      EXPECT_EQ(report->Summary(), family.summary);
+      std::string bounded_note;
+      for (const Diagnostic& d : report->diagnostics) {
+        if (d.code == "S201" || d.code == "S202") {
+          EXPECT_TRUE(bounded_note.empty()) << "two boundedness notes";
+          bounded_note = StrCat(d.code, ": ", d.message);
+        }
+      }
+      std::string predicate = query.substr(0, query.find('('));
+      if (family.route == Strategy::kNonRecursive) {
+        EXPECT_EQ(bounded_note,
+                  StrCat("S201: bounded recursion: '", predicate,
+                         "' reaches its fixpoint after 1 round(s) on every "
+                         "database; 2 rule(s) rewritten to a non-recursive "
+                         "union of 1 conjunctive quer(ies), verified by "
+                         "containment"));
+      } else {
+        EXPECT_EQ(bounded_note,
+                  StrCat("S202: boundedness not established (checked "
+                         "depth <= 3): '", predicate,
+                         "': not bounded up to depth 3"));
+      }
+    }
+  }
 }
 
 // ---- EvaluateNonRecursive ------------------------------------------------

@@ -4,12 +4,14 @@
 #
 # Usage: tools/check_plan_goldens.sh <seprec_cli-binary> [--regen]
 #
-# Only the plan lines ("== plan for ..." headers and "  mode=..." rule
-# lines) are compared, so diagnostics wording can evolve without churning
-# the goldens — but any change to a chosen join order, cost estimate, or
-# planner mode fails the diff. --regen rewrites the goldens from the
-# current binary instead (commit the result alongside the planner change
-# that caused it). The CI plan-golden step runs the diff mode.
+# Compared are the plan lines ("== plan for ..." headers and "  mode=..."
+# rule lines) and, from each query's S200 note, the chosen strategy and
+# the pass verdicts ("== strategy for ...: <strategy>; passes: ..."), so
+# diagnostics wording can evolve without churning the goldens — but any
+# change to a chosen join order, cost estimate, planner mode, strategy or
+# pass verdict fails the diff. --regen rewrites the goldens from the
+# current binary instead (commit the result alongside the change that
+# caused it). The CI plan-golden step runs the diff mode.
 set -euo pipefail
 
 CLI=${1:?usage: check_plan_goldens.sh <seprec_cli> [--regen]}
@@ -24,7 +26,7 @@ declare -A EXTRA=(
   [wide]="--data big_a=$DATA/big_a.tsv --data big_b=$DATA/big_b.tsv \
           --data link=$DATA/link.tsv"
 )
-PROGRAMS=(tc social nonlinear bounded wide)
+PROGRAMS=(tc social nonlinear bounded wide selfloop)
 
 status=0
 for p in "${PROGRAMS[@]}"; do
@@ -37,7 +39,9 @@ for p in "${PROGRAMS[@]}"; do
       exit $code
     fi
   }
-  plan=$(printf '%s\n' "$out" | grep -E '^(== plan|  mode=)' || true)
+  # An S200 note's reason is wording; its strategy and verdicts are not.
+  plan=$(printf '%s\n' "$out" | sed -nE -e '/^(== plan|  mode=)/p' -e \
+    's/.*: note: strategy for ([^:]*): ([a-z]+) \(.*\); passes: ([^ ]*) \[S200\]$/== strategy for \1: \2; passes: \3/p')
   if [[ "$REGEN" == "--regen" ]]; then
     printf '%s\n' "$plan" > "$GOLDEN/$p.plan"
     echo "regenerated $GOLDEN/$p.plan"
