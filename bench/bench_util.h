@@ -36,7 +36,6 @@ namespace bench {
 //                       (name, wall_ns, tuples_per_s, peak_bytes) as JSON —
 //                       the input of tools/bench_compare.py and the CI
 //                       benchmark-regression job
-//   --threads <N>       forward a parallel policy to every RunStrategy call
 //   --trace <out.jsonl> attach a JSON-lines trace sink to every RunStrategy
 //                       call (events from all engines, appended in run
 //                       order). Tracing adds bookkeeping: do not compare a
@@ -60,8 +59,6 @@ class Session {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
         json_path_ = argv[++i];
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        threads_ = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
       } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
         trace_out_ = std::make_unique<std::ofstream>(argv[++i]);
         if (!*trace_out_) {
@@ -78,7 +75,6 @@ class Session {
     }
   }
 
-  size_t threads() const { return threads_; }
   TraceSink* trace() const { return trace_sink_.get(); }
 
   void Record(const std::string& strategy, double seconds, size_t tuples,
@@ -126,7 +122,6 @@ class Session {
 
   std::string bench_name_ = "bench";
   std::string json_path_;
-  size_t threads_ = 0;
   std::unique_ptr<std::ofstream> trace_out_;
   std::unique_ptr<JsonTraceSink> trace_sink_;
   std::vector<Entry> entries_;
@@ -277,16 +272,12 @@ struct RunOutcome {
 
 // Runs `strategy` on (program, query, db) with an optional budget, timing
 // the whole call. The database is consumed (engines materialise into it).
-// The measurement lands in the Session (for --json emission); a --threads
-// flag overrides the options' parallel policy.
+// The measurement lands in the Session (for --json emission).
 inline RunOutcome RunStrategy(const QueryProcessor& qp, const Atom& query,
                               Database* db, Strategy strategy,
                               const FixpointOptions& options = {}) {
   RunOutcome out;
   FixpointOptions opts = options;
-  if (Session::Get().threads() > 0) {
-    opts.limits.parallel.num_threads = Session::Get().threads();
-  }
   if (Session::Get().trace() != nullptr) {
     opts.trace = Session::Get().trace();
   }

@@ -69,7 +69,7 @@ Variant Measure(const char* name, const QueryProcessor& qp,
                 const Atom& query, Database* db, Strategy strategy,
                 bool run_pipeline, size_t reps = kReps) {
   StatusOr<PreparedQuery> prepared =
-      qp.Prepare(query, db, strategy, {}, run_pipeline);
+      qp.Prepare(query, db, strategy, run_pipeline);
   SEPREC_CHECK(prepared.ok());
 
   Variant variant;

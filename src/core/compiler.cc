@@ -509,7 +509,7 @@ StatusOr<PassReport> QueryProcessor::AnalyzeQuery(const Atom& query) const {
 
 StatusOr<PreparedQuery> QueryProcessor::Prepare(
     const Atom& query, Database* db, Strategy strategy,
-    const ParallelPolicy& policy, bool run_pipeline) const {
+    bool run_pipeline) const {
   const PredicateInfo* pred = info_.Find(query.predicate);
   if (pred != nullptr && pred->arity != query.arity()) {
     return InvalidArgumentError(
@@ -597,7 +597,7 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
         ClassifySelection(*sep, query) == SelectionKind::kFull) {
       StatusOr<std::unique_ptr<PreparedSeparable>> schema =
           PreparedSeparable::Compile(effective->info_.program(), *sep, query,
-                                     overlay, policy);
+                                     overlay);
       // A compile failure degrades softly: Execute then runs the exact
       // one-shot path Answer uses (and fails or falls back identically).
       if (schema.ok()) {

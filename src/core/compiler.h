@@ -168,8 +168,7 @@ class QueryProcessor {
   // schema-compile failure degrades softly: the PreparedQuery is still
   // returned, and Execute runs the exact one-shot path Answer uses.
   //
-  // `policy` fixes the parallel-partition count baked into the compiled
-  // plans; the processor must outlive the returned PreparedQuery.
+  // The processor must outlive the returned PreparedQuery.
   //
   // With `run_pipeline` true and kAuto strategy, Prepare first runs the
   // static pass pipeline (src/opt): the decision is then made on the
@@ -179,7 +178,6 @@ class QueryProcessor {
   // false is the per-request ablation knob the query service exposes.
   StatusOr<PreparedQuery> Prepare(const Atom& query, Database* db,
                                   Strategy strategy = Strategy::kAuto,
-                                  const ParallelPolicy& policy = {},
                                   bool run_pipeline = true) const;
 
   // Runs the pass pipeline for `query` and decides the strategy on the

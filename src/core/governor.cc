@@ -3,13 +3,8 @@
 #include "eval/trace.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace seprec {
-
-size_t ParallelPolicy::ResolvedThreads() const {
-  return num_threads > 0 ? num_threads : DefaultThreadCount();
-}
 
 std::string_view StopCauseToString(StopCause cause) {
   switch (cause) {

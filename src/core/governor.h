@@ -35,27 +35,6 @@ namespace seprec {
 
 class TraceSink;
 
-// How much intra-query parallelism an evaluation may use. Not a resource
-// *limit* (it never trips the governor); it rides on ExecutionLimits so
-// every engine entry point receives it through the same FixpointOptions
-// plumbing the budgets use.
-struct ParallelPolicy {
-  // Worker threads for the parallel evaluation paths (partitioned
-  // semi-naive deltas, separable phase-2 classes). 0 means "auto": the
-  // SEPREC_THREADS environment variable, else 1. 1 disables the thread
-  // pool entirely; results are identical for every value (see DESIGN.md
-  // "Parallel execution model").
-  size_t num_threads = 0;
-
-  // Rounds with fewer staged delta rows than this run serially — the
-  // partition/merge overhead would dominate the join work.
-  size_t min_rows_per_task = 128;
-
-  // The concrete thread count this policy resolves to (>= 1).
-  size_t ResolvedThreads() const;
-  bool Enabled() const { return ResolvedThreads() > 1; }
-};
-
 struct ExecutionLimits {
   static constexpr size_t kUnlimited = std::numeric_limits<size_t>::max();
 
@@ -69,9 +48,6 @@ struct ExecutionLimits {
   size_t max_bytes = kUnlimited;
   // Wall-clock deadline in milliseconds; negative means none.
   int64_t timeout_ms = -1;
-
-  // Intra-query parallelism (not a limit; excluded from Unlimited()).
-  ParallelPolicy parallel;
 
   bool Unlimited() const {
     return max_iterations == kUnlimited && max_tuples == kUnlimited &&
@@ -116,14 +92,11 @@ struct DegradationInfo {
 // returns true; the first tripped limit latches and every later poll keeps
 // reporting it.
 //
-// Thread model: TrackMemory and NoteIterationAndCheck belong to the
-// evaluation's driving thread; ShouldStop, NoteTuples, stopped(), and
-// cause() are safe from pool workers too (the counters are relaxed
-// atomics, the latch is guarded by a mutex, and the deadline/accountant
-// reads are plain loads of values that only the driving thread writes
-// before the parallel region starts). Workers poll ShouldStop between
-// task units so deadlines, cancellation, and byte budgets are honored
-// mid-round, not just at the next round boundary.
+// Thread model: an evaluation runs on the one thread that serves its
+// query, which owns TrackMemory, NoteIterationAndCheck and the polls.
+// Other threads may only cancel (through the CancellationToken) and read
+// the latched cause: stopped(), cause() and message() are safe from any
+// thread (the cause is an atomic, the message is guarded by a mutex).
 class ExecutionContext {
  public:
   explicit ExecutionContext(const ExecutionLimits& limits,
@@ -142,7 +115,7 @@ class ExecutionContext {
   }
   TraceSink* trace() const { return trace_; }
 
-  // Governor polls observed so far (ShouldStop calls, any thread).
+  // Governor polls observed so far (ShouldStop calls).
   uint64_t polls() const { return polls_.load(std::memory_order_relaxed); }
 
   // Polls deadline, cancellation, and the tuple/byte budgets. Returns true
@@ -154,8 +127,7 @@ class ExecutionContext {
   bool NoteIterationAndCheck();
 
   // Counts `n` tuple insertions against max_tuples (checked at the next
-  // poll, keeping the hot insert path free of clock reads). Safe from
-  // worker threads.
+  // poll, keeping the hot insert path free of clock reads).
   void NoteTuples(size_t n) { tuples_.fetch_add(n, std::memory_order_relaxed); }
 
   bool stopped() const {
@@ -164,9 +136,7 @@ class ExecutionContext {
   StopCause cause() const { return cause_.load(std::memory_order_acquire); }
   std::string message() const;
 
-  // The limits this context enforces — engines also read the parallel
-  // policy (limits().parallel) from here, so a caller-supplied context
-  // carries its policy into every nested engine call.
+  // The limits this context enforces.
   const ExecutionLimits& limits() const { return limits_; }
 
   size_t iterations() const { return iterations_; }
@@ -186,7 +156,7 @@ class ExecutionContext {
   Deadline deadline_;
   const MemoryAccountant* accountant_ = nullptr;  // not owned; may be null
   size_t baseline_bytes_ = 0;
-  size_t iterations_ = 0;  // driving thread only
+  size_t iterations_ = 0;
   std::atomic<size_t> tuples_{0};
   std::atomic<uint64_t> polls_{0};
   // Set once before evaluation starts (SetTrace first-wins), then only

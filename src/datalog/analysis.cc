@@ -11,7 +11,9 @@ namespace {
 
 // Tarjan SCC over the predicate dependency graph. Components are emitted in
 // reverse topological order (callees before callers), which is exactly the
-// bottom-up evaluation order we want for strata.
+// bottom-up evaluation order we want for strata. The walk keeps its own
+// stack of frames, so a program's dependency depth (a chain of 100,000
+// predicates, say) costs heap, not call stack.
 class SccFinder {
  public:
   explicit SccFinder(const std::map<std::string, std::set<std::string>>& deps)
@@ -34,40 +36,70 @@ class SccFinder {
     bool on_stack = false;
   };
 
-  void Visit(const std::string& node) {
-    NodeState& st = state_[node];
+  // One node being visited: its state, and the next dependency to look at.
+  struct Frame {
+    const std::string* node;
+    NodeState* state;
+    std::set<std::string>::const_iterator next;
+    std::set<std::string>::const_iterator end;
+  };
+
+  // Pushes `node`'s frame: the entry half of the recursive formulation.
+  void Enter(const std::string& node, std::vector<Frame>* frames) {
+    auto it = state_.try_emplace(node).first;
+    NodeState& st = it->second;
     st.index = st.lowlink = next_index_++;
     st.on_stack = true;
     stack_.push_back(node);
+    auto deps = deps_.find(node);
+    if (deps == deps_.end()) {
+      frames->push_back({&it->first, &st, no_deps_.end(), no_deps_.end()});
+    } else {
+      frames->push_back(
+          {&it->first, &st, deps->second.begin(), deps->second.end()});
+    }
+  }
 
-    auto it = deps_.find(node);
-    if (it != deps_.end()) {
-      for (const std::string& next : it->second) {
+  void Visit(const std::string& root) {
+    std::vector<Frame> frames;
+    Enter(root, &frames);
+    while (!frames.empty()) {
+      Frame& f = frames.back();
+      if (f.next != f.end) {
+        const std::string& next = *f.next++;
         auto found = state_.find(next);
         if (found == state_.end()) {
-          Visit(next);
-          st.lowlink = std::min(st.lowlink, state_[next].lowlink);
+          Enter(next, &frames);  // invalidates `f`
         } else if (found->second.on_stack) {
-          st.lowlink = std::min(st.lowlink, found->second.index);
+          f.state->lowlink = std::min(f.state->lowlink, found->second.index);
         }
+        continue;
       }
-    }
-
-    if (st.lowlink == st.index) {
-      std::vector<std::string> component;
-      while (true) {
-        std::string top = stack_.back();
-        stack_.pop_back();
-        state_[top].on_stack = false;
-        component.push_back(top);
-        if (top == node) break;
+      // Every dependency is done: close the node, then fold its lowlink
+      // into its caller's, as the return of the recursive call would.
+      const Frame done = f;
+      frames.pop_back();
+      if (done.state->lowlink == done.state->index) {
+        std::vector<std::string> component;
+        while (true) {
+          std::string top = stack_.back();
+          stack_.pop_back();
+          state_[top].on_stack = false;
+          component.push_back(top);
+          if (top == *done.node) break;
+        }
+        std::sort(component.begin(), component.end());
+        components_.push_back(std::move(component));
       }
-      std::sort(component.begin(), component.end());
-      components_.push_back(std::move(component));
+      if (!frames.empty()) {
+        NodeState* caller = frames.back().state;
+        caller->lowlink = std::min(caller->lowlink, done.state->lowlink);
+      }
     }
   }
 
   const std::map<std::string, std::set<std::string>>& deps_;
+  const std::set<std::string> no_deps_;
   std::map<std::string, NodeState> state_;
   std::vector<std::string> stack_;
   std::vector<std::vector<std::string>> components_;
@@ -202,6 +234,11 @@ StatusOr<ProgramInfo> ProgramInfo::Analyze(const Program& program) {
       it->second.is_recursive = info.strata_[i].size() > 1 || self_loop;
     }
   }
+  info.stratum_rules_.resize(info.strata_.size());
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const std::string& head = program.rules[r].head.predicate;
+    info.stratum_rules_[info.predicates_.at(head).scc_id].push_back(r);
+  }
 
   // Stratified negation: no rule may negate a predicate from its head's
   // own SCC (negation through recursion has no least fixpoint). The same
@@ -298,14 +335,10 @@ std::set<std::string> ProgramInfo::DependenciesOf(
 }
 
 std::vector<const Rule*> ProgramInfo::RulesOfStratum(size_t i) const {
-  SEPREC_CHECK(i < strata_.size());
-  std::set<std::string> heads(strata_[i].begin(), strata_[i].end());
+  SEPREC_CHECK(i < stratum_rules_.size());
   std::vector<const Rule*> rules;
-  for (const Rule& rule : program_.rules) {
-    if (heads.count(rule.head.predicate)) {
-      rules.push_back(&rule);
-    }
-  }
+  rules.reserve(stratum_rules_[i].size());
+  for (size_t r : stratum_rules_[i]) rules.push_back(&program_.rules[r]);
   return rules;
 }
 

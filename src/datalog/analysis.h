@@ -65,7 +65,8 @@ class ProgramInfo {
     return strata_;
   }
 
-  // Rules defining predicates of stratum `i`, in program order.
+  // Rules defining predicates of stratum `i`, in program order. Costs the
+  // stratum's own rules, not the program's.
   std::vector<const Rule*> RulesOfStratum(size_t i) const;
 
  private:
@@ -73,6 +74,9 @@ class ProgramInfo {
   std::map<std::string, PredicateInfo> predicates_;
   std::map<std::string, std::set<std::string>> deps_;  // head -> body preds
   std::vector<std::vector<std::string>> strata_;
+  // Per stratum, the indices into program_.rules of its rules, ascending.
+  // Indices rather than pointers, so a copied ProgramInfo stays valid.
+  std::vector<std::vector<size_t>> stratum_rules_;
 };
 
 // Returns an error unless every rule of `program` is safe (range

@@ -1,7 +1,6 @@
 #include "eval/fixpoint.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
@@ -12,20 +11,12 @@
 #include "eval/engine_run.h"
 #include "eval/join_plan.h"
 #include "eval/trace.h"
-#include "util/hash.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace seprec {
 namespace {
 
 constexpr char kDeltaPrefix[] = "$delta_";
-
-// Name of partition k of a predicate's delta relation (see the parallel
-// round in EvaluateStratum). '$' keeps it out of the user namespace.
-std::string PartName(size_t k, const std::string& pred) {
-  return StrCat("$part", k, "_", pred);
-}
 
 struct AggregateRuntime {
   RulePlan plan;  // emits (head args with over_var at the aggregate slot)
@@ -45,15 +36,6 @@ struct StratumRuntime {
   std::vector<std::string> base_labels;
   std::vector<std::string> delta_labels;
   bool recursive = false;
-
-  // Parallel round machinery (empty when the parallel policy is off or the
-  // stratum is not recursive): partition_plans[k] holds, for every delta
-  // plan, a variant whose overridden literal scans partition k of the
-  // delta instead of the whole delta. The partition relations are
-  // hash-refilled from the deltas each round, so running all variants of
-  // all partitions derives exactly what the delta plans derive.
-  size_t num_partitions = 0;
-  std::vector<std::vector<RulePlan>> partition_plans;
 };
 
 class FixpointEngine {
@@ -134,25 +116,6 @@ class FixpointEngine {
       }
     }
 
-    // Parallel rounds need the delta partition relations to exist before
-    // the plan variants below can bind to them.
-    const ParallelPolicy& policy = ctx_->limits().parallel;
-    const bool partitioned =
-        seminaive_ && stratum.recursive && policy.Enabled();
-    if (partitioned) {
-      stratum.num_partitions = policy.ResolvedThreads();
-      stratum.partition_plans.resize(stratum.num_partitions);
-      for (const std::string& pred : stratum.idb_preds) {
-        const PredicateInfo* pi = info.Find(pred);
-        for (size_t k = 0; k < stratum.num_partitions; ++k) {
-          std::string part = PartName(k, pred);
-          SEPREC_RETURN_IF_ERROR(
-              db_->CreateRelation(part, pi->arity).status());
-          delta_names_.insert(part);
-        }
-      }
-    }
-
     for (const Rule* rule : info.RulesOfStratum(s)) {
       PlanOptions base_opts;
       base_opts.disable_indexes = options_.disable_indexes;
@@ -190,16 +153,6 @@ class FixpointEngine {
         TracePlan(delta, "compile/delta");
         stratum.delta_plans.push_back(std::move(delta));
         stratum.delta_labels.push_back(rule->ToString());
-        if (!partitioned) continue;
-        for (size_t k = 0; k < stratum.num_partitions; ++k) {
-          PlanOptions part_opts;
-          part_opts.disable_indexes = options_.disable_indexes;
-          part_opts.join_order = join_order();
-          part_opts.relation_overrides[i] = PartName(k, lit.atom.predicate);
-          SEPREC_ASSIGN_OR_RETURN(RulePlan part,
-                                  RulePlan::Compile(*rule, db_, part_opts));
-          stratum.partition_plans[k].push_back(std::move(part));
-        }
       }
     }
     return stratum;
@@ -212,8 +165,8 @@ class FixpointEngine {
                            : JoinOrderMode::kCostBased;
   }
 
-  // Emits a `plan` trace event for a freshly compiled rule plan
-  // (base and delta variants; partition variants share the delta's order).
+  // Emits a `plan` trace event for a freshly compiled rule plan (base and
+  // delta variants).
   void TracePlan(const RulePlan& plan, const std::string& phase) {
     if (trace_ == nullptr) return;
     const PlannedBody& info = plan.plan_info();
@@ -255,14 +208,13 @@ class FixpointEngine {
   Status EvaluateStratum(const ProgramInfo& info,
                          const StratumRuntime& stratum,
                          const std::string& phase) {
-    // Per-predicate staging sinks (engine-local). Serial and parallel
-    // rounds both emit here and fold through the sink's canonical sorted
-    // merge, so the materialised relations end up with the same slot
-    // order whatever the thread count — including 1.
-    std::map<std::string, std::unique_ptr<ShardedSink>> sinks;
+    // Per-predicate staging sinks (engine-local). Every round emits here
+    // and folds through the sink's canonical sorted merge, which fixes the
+    // materialised relations' slot order.
+    std::map<std::string, std::unique_ptr<StagingSink>> sinks;
     for (const std::string& pred : stratum.idb_preds) {
       const PredicateInfo* pi = info.Find(pred);
-      auto sink = std::make_unique<ShardedSink>(pi->arity);
+      auto sink = std::make_unique<StagingSink>(pi->arity);
       sink->SetAccountant(&db_->accountant());
       sinks.emplace(pred, std::move(sink));
     }
@@ -295,11 +247,11 @@ class FixpointEngine {
       return new_tuples;
     };
 
-    // Runs every plan against the current deltas/relations on the driving
-    // thread; returns head tuples emitted (0 when not measuring).
-    auto run_plans_serial = [this, &sink_for, &overflow, measuring, &phase,
-                             &round](const std::vector<RulePlan>& plans,
-                                     const std::vector<std::string>& labels)
+    // Runs every plan against the current deltas/relations; returns head
+    // tuples emitted (0 when not measuring).
+    auto run_plans = [this, &sink_for, &overflow, measuring, &phase,
+                      &round](const std::vector<RulePlan>& plans,
+                              const std::vector<std::string>& labels)
         -> size_t {
       size_t emitted = 0;
       for (size_t j = 0; j < plans.size(); ++j) {
@@ -313,76 +265,6 @@ class FixpointEngine {
                              &overflow, &m);
         emitted += m.emitted;
         NoteRuleMetrics(phase, round, labels[j], m);
-      }
-      return emitted;
-    };
-
-    // One parallel round: hash-partition every delta across the stratum's
-    // partition relations, then run each partition's plan variants as an
-    // independent worker task. Workers poll the governor between plans, so
-    // deadlines / cancellation / byte budgets trip mid-round. Returns head
-    // tuples emitted across all partitions (0 when not measuring); per-plan
-    // metrics land in worker-private slots and are summed afterwards, so
-    // the per-rule emitted totals match a serial round exactly.
-    auto parallel_round = [this, &stratum, &sink_for, &overflow, measuring,
-                           &phase, &round]() -> size_t {
-      const size_t P = stratum.num_partitions;
-      for (const std::string& pred : stratum.idb_preds) {
-        Relation* delta = db_->Find(StrCat(kDeltaPrefix, pred));
-        std::vector<Relation*> parts(P);
-        for (size_t k = 0; k < P; ++k) {
-          parts[k] = db_->Find(PartName(k, pred));
-          parts[k]->Clear();
-        }
-        delta->ForEachRow(
-            [&parts, P](Row r) { parts[HashRow(r) % P]->Insert(r); });
-      }
-      if (trace_ != nullptr) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kParallelRound;
-        e.engine = engine_name();
-        e.phase = phase;
-        e.round = round;
-        e.partitions = P;
-        e.threads = P;
-        e.queue_depth = ThreadPool::Shared()->QueueDepth();
-        trace_->Emit(e);
-      }
-      const size_t num_plans = stratum.delta_plans.size();
-      std::vector<std::vector<RuleExecMetrics>> part_metrics;
-      if (measuring) {
-        part_metrics.assign(P, std::vector<RuleExecMetrics>(num_plans));
-      }
-      std::atomic<bool> par_overflow{false};
-      ThreadPool::Shared()->ParallelFor(
-          P, P,
-          [this, &stratum, &sink_for, &par_overflow, measuring,
-           &part_metrics](size_t k) {
-            bool local_overflow = false;
-            const std::vector<RulePlan>& plans = stratum.partition_plans[k];
-            for (size_t j = 0; j < plans.size(); ++j) {
-              if (ctx_->ShouldStop()) break;
-              plans[j].ExecuteInto(
-                  sink_for(plans[j].rule().head.predicate), &local_overflow,
-                  measuring ? &part_metrics[k][j] : nullptr);
-            }
-            if (local_overflow) {
-              par_overflow.store(true, std::memory_order_relaxed);
-            }
-          });
-      if (par_overflow.load(std::memory_order_relaxed)) overflow = true;
-      size_t emitted = 0;
-      if (measuring) {
-        for (size_t j = 0; j < num_plans; ++j) {
-          RuleExecMetrics sum;
-          for (size_t k = 0; k < P; ++k) {
-            sum.emitted += part_metrics[k][j].emitted;
-            sum.inserted += part_metrics[k][j].inserted;
-            sum.probes += part_metrics[k][j].probes;
-          }
-          emitted += sum.emitted;
-          NoteRuleMetrics(phase, round, stratum.delta_labels[j], sum);
-        }
       }
       return emitted;
     };
@@ -431,8 +313,7 @@ class FixpointEngine {
           RunAggregate(agg, sink_for(agg.head_predicate), &overflow));
     }
     // Round 0: all rules against full (initially possibly empty) relations.
-    size_t emitted =
-        run_plans_serial(stratum.base_plans, stratum.base_labels);
+    size_t emitted = run_plans(stratum.base_plans, stratum.base_labels);
     size_t staged = 0;
     size_t new_tuples = fold(measuring ? &staged : nullptr);
     round_finish(emitted, staged, new_tuples);
@@ -445,17 +326,10 @@ class FixpointEngine {
           seminaive_ ? stratum.delta_plans : stratum.base_plans;
       const std::vector<std::string>& labels =
           seminaive_ ? stratum.delta_labels : stratum.base_labels;
-      const size_t min_rows = ctx_->limits().parallel.min_rows_per_task;
       while (new_tuples > 0) {
         if (ctx_->ShouldStop()) break;
         round_begin(new_tuples);
-        // Small rounds run serially: below min_rows_per_task staged delta
-        // rows the partition/merge overhead dominates the join work.
-        if (stratum.num_partitions > 1 && new_tuples >= min_rows) {
-          emitted = parallel_round();
-        } else {
-          emitted = run_plans_serial(plans, labels);
-        }
+        emitted = run_plans(plans, labels);
         staged = 0;
         new_tuples = fold(measuring ? &staged : nullptr);
         round_finish(emitted, staged, new_tuples);
@@ -473,7 +347,7 @@ class FixpointEngine {
   // Collects the (group, value) rows of an aggregate rule, folds each
   // group with the aggregate operator, and emits one row per group into
   // `out` (the value replacing the over-variable slot).
-  Status RunAggregate(const AggregateRuntime& agg, ShardedSink* out,
+  Status RunAggregate(const AggregateRuntime& agg, StagingSink* out,
                       bool* overflow) {
     Relation collected("$agg_collect", agg.arity);
     agg.plan.ExecuteInto(&collected, overflow);

@@ -694,12 +694,10 @@ void RulePlan::RunStep(size_t step_index, ExecContext* ctx,
   }
 }
 
-size_t RulePlan::ExecuteInto(Relation* out, bool* overflow,
-                             RuleExecMetrics* metrics) const {
+template <typename Out>
+size_t RulePlan::EmitInto(Out* out, bool* overflow,
+                          RuleExecMetrics* metrics) const {
   SEPREC_CHECK(out->arity() == head_sources_.size());
-  for (const Relation* scanned : scanned_) {
-    SEPREC_CHECK(scanned != out);
-  }
   size_t inserted = 0;
   size_t emitted = 0;
   Run(
@@ -715,22 +713,17 @@ size_t RulePlan::ExecuteInto(Relation* out, bool* overflow,
   return inserted;
 }
 
-size_t RulePlan::ExecuteInto(ShardedSink* out, bool* overflow,
+size_t RulePlan::ExecuteInto(Relation* out, bool* overflow,
                              RuleExecMetrics* metrics) const {
-  SEPREC_CHECK(out->arity() == head_sources_.size());
-  size_t inserted = 0;
-  size_t emitted = 0;
-  Run(
-      [out, &inserted, &emitted](Row row) {
-        ++emitted;
-        inserted += out->Insert(row) ? 1 : 0;
-      },
-      overflow, metrics != nullptr ? &metrics->probes : nullptr);
-  if (metrics != nullptr) {
-    metrics->emitted += emitted;
-    metrics->inserted += inserted;
+  for (const Relation* scanned : scanned_) {
+    SEPREC_CHECK(scanned != out);
   }
-  return inserted;
+  return EmitInto(out, overflow, metrics);
+}
+
+size_t RulePlan::ExecuteInto(StagingSink* out, bool* overflow,
+                             RuleExecMetrics* metrics) const {
+  return EmitInto(out, overflow, metrics);
 }
 
 size_t RulePlan::CountDerivations() const {

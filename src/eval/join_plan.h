@@ -96,12 +96,9 @@ class RulePlan {
   size_t ExecuteInto(Relation* out, bool* overflow = nullptr,
                      RuleExecMetrics* metrics = nullptr) const;
 
-  // Same pipeline, emitting into a concurrent staging sink instead of a
-  // relation. Safe to run from several pool workers at once as long as
-  // the scanned relations are not mutated meanwhile (const here; the
-  // lazy index build is internally serialised). Returns the number of
-  // rows new in `out`.
-  size_t ExecuteInto(ShardedSink* out, bool* overflow = nullptr,
+  // Same pipeline, emitting into an engine's staging sink instead of a
+  // relation. Returns the number of rows new in `out`.
+  size_t ExecuteInto(StagingSink* out, bool* overflow = nullptr,
                      RuleExecMetrics* metrics = nullptr) const;
 
   // Number of head emissions without materialising (counts duplicates).
@@ -170,6 +167,10 @@ class RulePlan {
 
   template <typename Sink>
   void Run(Sink&& sink, bool* overflow, size_t* probes = nullptr) const;
+  // Both ExecuteInto overloads: inserts each emitted row into `out` (a
+  // Relation or a StagingSink) and counts into `metrics`.
+  template <typename Out>
+  size_t EmitInto(Out* out, bool* overflow, RuleExecMetrics* metrics) const;
   template <typename Sink>
   void RunStep(size_t step_index, ExecContext* ctx, Sink&& sink) const;
 

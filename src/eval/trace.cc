@@ -18,8 +18,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "rule";
     case TraceEventKind::kMerge:
       return "merge";
-    case TraceEventKind::kParallelRound:
-      return "parallel_round";
     case TraceEventKind::kGovernorTrip:
       return "governor_trip";
     case TraceEventKind::kCache:
@@ -154,14 +152,6 @@ void JsonTraceSink::Emit(const TraceEvent& e) {
       AppendNum(&line, "round", e.round);
       AppendNum(&line, "staged", e.staged);
       AppendNum(&line, "inserted", e.inserted);
-      break;
-    case TraceEventKind::kParallelRound:
-      AppendStr(&line, "engine", e.engine);
-      AppendStr(&line, "phase", e.phase);
-      AppendNum(&line, "round", e.round);
-      AppendNum(&line, "partitions", e.partitions);
-      AppendNum(&line, "threads", e.threads);
-      AppendNum(&line, "queue_depth", e.queue_depth);
       break;
     case TraceEventKind::kGovernorTrip:
       AppendStr(&line, "cause", e.cause);

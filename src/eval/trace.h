@@ -3,11 +3,11 @@
 // The paper's cost model (Definition 4.2) is stated in terms of the sizes
 // of constructed relations and per-phase work. EvalStats reports the final
 // sizes; the trace layer reports how they got there: per-round deltas,
-// per-rule probe/emit counts, sharded-merge statistics, governor activity,
-// and thread-pool pressure. Engines hold a `TraceSink*` (default null) and
-// guard every emission with a null check, so the disabled path costs one
-// branch per round — cheap enough that the bench-regression gate holds
-// with tracing off.
+// per-rule probe/emit counts, staging-merge statistics and governor
+// activity. Engines hold a `TraceSink*` (default null) and guard every
+// emission with a null check, so the disabled path costs one branch per
+// round — cheap enough that the bench-regression gate holds with tracing
+// off.
 //
 // Event schema (one JSON object per line from JsonTraceSink; all events
 // carry "v" (JsonTraceSink::kSchemaVersion), "seq" (global order), "t"
@@ -21,7 +21,6 @@
 //   round_end      engine, phase, round, emitted, inserted, delta
 //   rule           engine, phase, round, rule, emitted, inserted, probes
 //   merge          engine, phase, round, staged, inserted
-//   parallel_round engine, phase, round, partitions, threads, queue_depth
 //   governor_trip  cause, detail
 //   cache          phase (cache layer: "processor"/"plan"/"closure"/"all"),
 //                  cause ("hit"/"miss"/"store"/"evict"/"purge"), detail (key)
@@ -45,12 +44,10 @@
 //   note           detail
 //
 // Semantics: `emitted` counts head tuples produced by rule bodies,
-// duplicates included — it is deterministic for a given program and
-// database, independent of thread count. `inserted` counts tuples that
-// were new in the target relation; per-round totals are thread-invariant
-// (the canonical ShardedSink merge dedupes identically), but per-rule
-// inserted counts under parallel rounds depend on which worker staged a
-// duplicate first, so cross-run comparisons should use `emitted`.
+// duplicates included. `inserted` counts tuples that were new in the
+// target: for a rule event, new in the round's staging sink; for merge
+// and round_end events, new in the materialised relation. Both are
+// deterministic for a given program and database.
 #ifndef SEPREC_EVAL_TRACE_H_
 #define SEPREC_EVAL_TRACE_H_
 
@@ -71,7 +68,6 @@ enum class TraceEventKind {
   kRoundEnd,
   kRule,
   kMerge,
-  kParallelRound,
   kGovernorTrip,
   kCache,    // query-service cache activity (hit/miss/store/evict/purge)
   kSession,  // query-service session lifecycle (open/request/close)
@@ -100,11 +96,8 @@ struct TraceEvent {
   uint64_t emitted = 0;         // head tuples produced, duplicates included
   uint64_t inserted = 0;        // tuples new in the target relation
   uint64_t probes = 0;          // candidate rows examined by join steps
-  uint64_t staged = 0;          // rows staged into a ShardedSink pre-dedupe
+  uint64_t staged = 0;          // rows staged into a StagingSink pre-merge
   uint64_t delta = 0;           // rows feeding the next round
-  uint64_t partitions = 0;      // hash partitions of a parallel round
-  uint64_t threads = 0;         // resolved worker count
-  uint64_t queue_depth = 0;     // thread-pool backlog when scheduling began
   uint64_t iterations = 0;      // kEngineFinish: total fixpoint rounds
   uint64_t tuples = 0;          // kEngineFinish: distinct tuples inserted
   uint64_t polls = 0;           // kEngineFinish: governor polls observed
@@ -116,8 +109,8 @@ struct TraceEvent {
 };
 
 // Receives events from engines. Implementations must be safe to call from
-// multiple threads concurrently: parallel workers do not emit directly, but
-// nested engines can interleave with governor trips observed from workers.
+// multiple threads concurrently: the query service shares one sink across
+// its session threads.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -11,9 +11,7 @@
 #include "eval/engine_run.h"
 #include "eval/join_plan.h"
 #include "eval/trace.h"
-#include "util/hash.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace seprec {
 
@@ -155,14 +153,11 @@ Rule MakePhase2Rule(const SeparableRecursion& sep, const AnchorInfo& anchor,
 
 class SchemaRunner {
  public:
-  SchemaRunner(const SeparableRecursion& sep, AnchorInfo anchor,
-               Database* db, const ParallelPolicy& policy,
+  SchemaRunner(const SeparableRecursion& sep, AnchorInfo anchor, Database* db,
                JoinOrderMode join_order = JoinOrderMode::kCostBased)
       : sep_(sep),
         anchor_(std::move(anchor)),
         db_(db),
-        num_partitions_(policy.Enabled() ? policy.ResolvedThreads() : 1),
-        min_rows_per_task_(policy.min_rows_per_task),
         join_order_(join_order) {
     // Atomic: the query service compiles prepared schemas from concurrent
     // session threads. Unsigned: every compile and one-shot run takes a
@@ -175,11 +170,6 @@ class SchemaRunner {
   ~SchemaRunner() {
     for (const char* suffix : {"carry1", "seen1", "carry2", "seen2"}) {
       db_->Drop(prefix_ + suffix);
-    }
-    if (num_partitions_ > 1) {
-      for (size_t k = 0; k < num_partitions_; ++k) {
-        db_->Drop(PartName(k));
-      }
     }
   }
 
@@ -197,18 +187,10 @@ class SchemaRunner {
                             db_->CreateRelation(prefix_ + "carry2", rest));
     SEPREC_ASSIGN_OR_RETURN(seen2_,
                             db_->CreateRelation(prefix_ + "seen2", rest));
-    sink1_ = std::make_unique<ShardedSink>(w);
-    sink2_ = std::make_unique<ShardedSink>(rest);
+    sink1_ = std::make_unique<StagingSink>(w);
+    sink2_ = std::make_unique<StagingSink>(rest);
     sink1_->SetAccountant(&db_->accountant());
     sink2_->SetAccountant(&db_->accountant());
-    if (num_partitions_ > 1) {
-      for (size_t k = 0; k < num_partitions_; ++k) {
-        SEPREC_ASSIGN_OR_RETURN(Relation * part,
-                                db_->CreateRelation(PartName(k), rest));
-        carry2_parts_.push_back(part);
-      }
-      phase2_part_plans_.resize(num_partitions_);
-    }
 
     PlanOptions plan_opts;
     plan_opts.join_order = join_order_;
@@ -239,15 +221,6 @@ class SchemaRunner {
       SEPREC_ASSIGN_OR_RETURN(RulePlan plan,
                               RulePlan::Compile(rule, db_, plan_opts));
       phase2_plans_.push_back(std::move(plan));
-      // Partition variants: the same rule reading partition k of carry_2.
-      for (size_t k = 0; k < num_partitions_ && num_partitions_ > 1; ++k) {
-        SEPREC_ASSIGN_OR_RETURN(
-            RulePlan part_plan,
-            RulePlan::Compile(
-                MakePhase2Rule(sep_, anchor_, r, PartName(k), "$new2"),
-                db_, plan_opts));
-        phase2_part_plans_[k].push_back(std::move(part_plan));
-      }
     }
     return Status::OK();
   }
@@ -261,7 +234,6 @@ class SchemaRunner {
     seen2_->Clear();
     sink1_->Clear();
     sink2_->Clear();
-    for (Relation* part : carry2_parts_) part->Clear();
   }
 
   // Runs the schema from `seeds` (each of width |anchor_positions|) and
@@ -443,66 +415,13 @@ class SchemaRunner {
         if (ctx->NoteIterationAndCheck()) break;
         trace_round_start("phase2", round2, carry2_->size());
         size_t emitted = 0;
-        if (num_partitions_ > 1 && carry2_->size() >= min_rows_per_task_) {
-          // Parallel round: split carry_2 over the partition relations by
-          // row hash and run each partition's plan variants as one worker
-          // task. Workers poll the governor between plans, so deadlines,
-          // cancellation, and byte budgets trip mid-round; whatever was
-          // staged is still merged — a sound partial answer.
-          for (Relation* part : carry2_parts_) part->Clear();
-          const size_t P = num_partitions_;
-          carry2_->ForEachRow([this, P](Row r) {
-            carry2_parts_[HashRow(r) % P]->Insert(r);
-          });
-          if (trace != nullptr) {
-            TraceEvent e;
-            e.kind = TraceEventKind::kParallelRound;
-            e.engine = "separable";
-            e.phase = "phase2";
-            e.round = round2;
-            e.partitions = P;
-            e.threads = P;
-            e.queue_depth = ThreadPool::Shared()->QueueDepth();
-            trace->Emit(e);
-          }
-          // Worker-private metric slots, summed after the join so per-rule
-          // emitted totals match a serial round exactly.
-          const size_t num_plans = phase2_plans_.size();
-          std::vector<std::vector<RuleExecMetrics>> part_metrics;
+        for (size_t j = 0; j < phase2_plans_.size(); ++j) {
+          RuleExecMetrics m;
+          phase2_plans_[j].ExecuteInto(sink2_.get(), nullptr,
+                                       measuring ? &m : nullptr);
           if (measuring) {
-            part_metrics.assign(P, std::vector<RuleExecMetrics>(num_plans));
-          }
-          ThreadPool::Shared()->ParallelFor(
-              P, P, [this, ctx, measuring, &part_metrics](size_t k) {
-                const std::vector<RulePlan>& plans = phase2_part_plans_[k];
-                for (size_t j = 0; j < plans.size(); ++j) {
-                  if (ctx->ShouldStop()) break;
-                  plans[j].ExecuteInto(
-                      sink2_.get(), nullptr,
-                      measuring ? &part_metrics[k][j] : nullptr);
-                }
-              });
-          if (measuring) {
-            for (size_t j = 0; j < num_plans; ++j) {
-              RuleExecMetrics sum;
-              for (size_t k = 0; k < P; ++k) {
-                sum.emitted += part_metrics[k][j].emitted;
-                sum.inserted += part_metrics[k][j].inserted;
-                sum.probes += part_metrics[k][j].probes;
-              }
-              emitted += sum.emitted;
-              note_rule("phase2", round2, phase2_labels_[j], sum);
-            }
-          }
-        } else {
-          for (size_t j = 0; j < phase2_plans_.size(); ++j) {
-            RuleExecMetrics m;
-            phase2_plans_[j].ExecuteInto(sink2_.get(), nullptr,
-                                         measuring ? &m : nullptr);
-            if (measuring) {
-              emitted += m.emitted;
-              note_rule("phase2", round2, phase2_labels_[j], m);
-            }
+            emitted += m.emitted;
+            note_rule("phase2", round2, phase2_labels_[j], m);
           }
         }
         carry2_->Clear();
@@ -541,8 +460,8 @@ class SchemaRunner {
   Relation* seen1_ = nullptr;
   Relation* carry2_ = nullptr;
   Relation* seen2_ = nullptr;
-  std::unique_ptr<ShardedSink> sink1_;
-  std::unique_ptr<ShardedSink> sink2_;
+  std::unique_ptr<StagingSink> sink1_;
+  std::unique_ptr<StagingSink> sink2_;
   std::vector<RulePlan> phase1_plans_;
   std::vector<RulePlan> exit_plans_;
   std::vector<RulePlan> phase2_plans_;
@@ -551,18 +470,7 @@ class SchemaRunner {
   std::vector<std::string> phase1_labels_;
   std::vector<std::string> exit_labels_;
   std::vector<std::string> phase2_labels_;
-  // Parallel phase 2 (only when num_partitions_ > 1): partition k of
-  // carry_2 plus, for every phase-2 rule, a plan variant whose carry atom
-  // reads that partition. Each partition runs as an independent worker
-  // task — Theorem 2.1 makes the phase-2 classes independent, so tasks
-  // share only read-only relations and the concurrent sink.
-  size_t num_partitions_;
-  size_t min_rows_per_task_;
   JoinOrderMode join_order_;
-  std::vector<Relation*> carry2_parts_;
-  std::vector<std::vector<RulePlan>> phase2_part_plans_;
-
-  std::string PartName(size_t k) const { return StrCat(prefix_, "part", k); }
 };
 
 namespace {
@@ -640,8 +548,7 @@ Status EvaluatePartial(const Program& program, const SeparableRecursion& sep,
       full_anchor.rest_positions.push_back(p);
     }
   }
-  SchemaRunner runner(sep, full_anchor, db, ctx->limits().parallel,
-                      join_order);
+  SchemaRunner runner(sep, full_anchor, db, join_order);
   SEPREC_RETURN_IF_ERROR(runner.Compile());
 
   // Seed bindings: evaluate each e1 rule's nonrecursive body with the
@@ -717,7 +624,7 @@ Status EvaluateSelection(const Program& program, const SeparableRecursion& sep,
     seed.push_back(*query_constants[p]);
   }
 
-  SchemaRunner runner(sep, *anchor, db, ctx->limits().parallel, join_order);
+  SchemaRunner runner(sep, *anchor, db, join_order);
   SEPREC_RETURN_IF_ERROR(runner.Compile());
   runner.Run({seed}, ctx, &result->stats);
   ++result->schema_runs;
@@ -804,7 +711,7 @@ PreparedSeparable::~PreparedSeparable() = default;
 
 StatusOr<std::unique_ptr<PreparedSeparable>> PreparedSeparable::Compile(
     const Program& program, const SeparableRecursion& sep, const Atom& query,
-    Database* db, const ParallelPolicy& policy) {
+    Database* db) {
   if (query.arity() != sep.arity() || query.predicate != sep.predicate()) {
     return InvalidArgumentError(
         StrCat("query ", query.ToString(), " does not match recursion '",
@@ -828,8 +735,8 @@ StatusOr<std::unique_ptr<PreparedSeparable>> PreparedSeparable::Compile(
   impl->db = db;
   // The runner references impl->sep (not the caller's `sep`), which lives
   // exactly as long as the runner does.
-  impl->runner = std::make_unique<SchemaRunner>(impl->sep, *std::move(anchor),
-                                                db, policy);
+  impl->runner =
+      std::make_unique<SchemaRunner>(impl->sep, *std::move(anchor), db);
   SEPREC_RETURN_IF_ERROR(impl->runner->Compile());
   return std::unique_ptr<PreparedSeparable>(
       new PreparedSeparable(std::move(impl)));

@@ -144,11 +144,9 @@ struct ClosureMaintenance {
 // database writer.
 class PreparedSeparable {
  public:
-  // `policy` fixes the parallel-partition count the compiled plans bake
-  // in; per-request limits cannot change it later.
   static StatusOr<std::unique_ptr<PreparedSeparable>> Compile(
       const Program& program, const SeparableRecursion& sep,
-      const Atom& query, Database* db, const ParallelPolicy& policy);
+      const Atom& query, Database* db);
   ~PreparedSeparable();
   PreparedSeparable(const PreparedSeparable&) = delete;
   PreparedSeparable& operator=(const PreparedSeparable&) = delete;

@@ -207,13 +207,9 @@ StatusOr<std::vector<QueryOutcome>> QueryService::Execute(
         "lines in the program");
   }
 
-  ExecutionLimits limits =
-      request.limits.Unlimited() && request.limits.parallel.num_threads == 0
-          ? options_.default_limits
-          : request.limits;
-  // The parallel policy is baked into compiled plans at Prepare time; a
-  // request cannot change it without poisoning the shared plan cache.
-  limits.parallel = options_.parallel;
+  const ExecutionLimits limits = request.limits.Unlimited()
+                                     ? options_.default_limits
+                                     : request.limits;
 
   std::vector<QueryOutcome> outcomes;
   outcomes.reserve(queries.size());
@@ -259,7 +255,7 @@ StatusOr<std::vector<QueryOutcome>> QueryService::Execute(
           // plans bind stored relations, and a body relation no layer
           // holds is created there), so it runs under the database mutex.
           StatusOr<PreparedQuery> prepared = entry->qp.Prepare(
-              query, db_, request.strategy, options_.parallel,
+              query, db_, request.strategy,
               /*run_pipeline=*/request.optimize);
           if (!prepared.ok()) return prepared.status();
           plan =

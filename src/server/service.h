@@ -66,10 +66,6 @@ struct ServiceOptions {
   size_t max_prepared = 64;
   size_t max_closures = 256;
 
-  // Baked into every compiled plan at Prepare time; per-request limits
-  // cannot change it (they CAN still set budgets/deadlines).
-  ParallelPolicy parallel;
-
   // Limits applied when a request carries none (Unlimited() by default).
   ExecutionLimits default_limits;
 

@@ -304,64 +304,33 @@ void OrderedCursor::SeekGE(Row key) {
   Settle();
 }
 
-ShardedSink::ShardedSink(size_t arity, size_t num_shards) : arity_(arity) {
-  if (num_shards == 0) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-void ShardedSink::SetAccountant(MemoryAccountant* accountant) {
-  accountant_ = accountant;
-}
-
-bool ShardedSink::Insert(Row row) {
+bool StagingSink::Insert(Row row) {
   SEPREC_DCHECK(row.size() == arity_);
-  Shard& shard = *shards_[HashRow(row) % shards_.size()];
-
-  std::lock_guard<std::mutex> lock(shard.mu);
   // Like Relation::Insert: probe before appending, and charge the
   // accountant only for NOVEL rows, after dedupe.
   const size_t arity = arity_;
-  const Value* data = shard.data.data();
+  const Value* data = data_.data();
   auto row_of = [data, arity](uint32_t id) {
     return Row(data + size_t{id} * arity, arity);
   };
-  const uint32_t id = static_cast<uint32_t>(shard.rows.size());
-  if (!shard.rows.Insert(row, id, row_of)) return false;
-  shard.data.insert(shard.data.end(), row.begin(), row.end());
+  const uint32_t id = static_cast<uint32_t>(rows_.size());
+  if (!rows_.Insert(row, id, row_of)) return false;
+  data_.insert(data_.end(), row.begin(), row.end());
   if (accountant_ != nullptr) accountant_->Charge(RowBytes());
   return true;
 }
 
-size_t ShardedSink::size() const {
-  size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->rows.size();
-  }
-  return total;
-}
-
-size_t ShardedSink::MergeInto(Relation* out, Relation* delta,
+size_t StagingSink::MergeInto(Relation* out, Relation* delta,
                               size_t* staged_count) {
   SEPREC_CHECK(out->arity() == arity_);
-  // Point at every staged row where it sits in its shard, then sort the
-  // pointers lexicographically by Value bits: the canonical merge order
-  // that makes the target's slot sequence independent of how workers and
-  // shards interleaved. No Insert runs during a merge, so the shard
-  // buffers stay put until they are cleared below.
+  // Point at every staged row, then sort the pointers lexicographically
+  // by Value bits: the canonical merge order that makes the target's slot
+  // sequence independent of the order the rules derived the rows in.
   const size_t arity = arity_;
+  const size_t staged = rows_.size();
   merge_order_.clear();
-  size_t released = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const size_t rows = shard->rows.size();
-    for (size_t r = 0; r < rows; ++r) {
-      merge_order_.push_back(shard->data.data() + r * arity);
-    }
-    released += rows;
+  for (size_t r = 0; r < staged; ++r) {
+    merge_order_.push_back(data_.data() + r * arity);
   }
   std::sort(merge_order_.begin(), merge_order_.end(),
             [arity](const Value* a, const Value* b) {
@@ -374,25 +343,15 @@ size_t ShardedSink::MergeInto(Relation* out, Relation* delta,
       if (delta != nullptr) delta->Insert(Row(row, arity));
     }
   }
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->data.clear();
-    shard->rows.clear();
-  }
-  if (accountant_ != nullptr) accountant_->Release(released * RowBytes());
-  if (staged_count != nullptr) *staged_count += released;
+  Clear();
+  if (staged_count != nullptr) *staged_count += staged;
   return new_rows;
 }
 
-void ShardedSink::Clear() {
-  size_t released = 0;
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    released += shard->rows.size();
-    shard->data.clear();
-    shard->rows.clear();
-  }
-  if (accountant_ != nullptr) accountant_->Release(released * RowBytes());
+void StagingSink::Clear() {
+  if (accountant_ != nullptr) accountant_->Release(rows_.size() * RowBytes());
+  data_.clear();
+  rows_.clear();
 }
 
 std::string Relation::DebugString(const SymbolTable& symbols) const {

@@ -13,10 +13,9 @@
 // Thread model: mutation (Insert/Clear/EraseRows/CopyFrom) is
 // single-threaded, but concurrent READ access — including the lazy index
 // build in GetIndex, which is serialised by an internal mutex — is safe
-// while no mutator runs. The parallel evaluation paths rely on exactly
-// this split: pool workers share read-only relations for the duration of
-// a fixpoint round and stage their output through a ShardedSink; the
-// driving thread is the only mutator, between rounds.
+// while no mutator runs. Each query evaluates on one thread and writes
+// only the relations of its own overlay (see Database), so this split is
+// what lets requests read the stored relations of a shared catalog.
 #ifndef SEPREC_STORAGE_RELATION_H_
 #define SEPREC_STORAGE_RELATION_H_
 
@@ -54,10 +53,11 @@ class RelationSegment;
 // approximate — Value payload plus a flat per-row overhead standing in for
 // the dedup-set and index entries — the goal being a cheap measure that
 // moves with real allocation, not malloc-accurate bytes. The running total
-// is a relaxed atomic so pool workers can charge their staged rows and the
-// governor can read one number from any thread; charges are only ever
+// is a relaxed atomic: every overlay's accountant forwards its charges to
+// the root's, which concurrent sessions share, and the governor and the
+// service's stats read one number from any thread. Charges are only ever
 // counted for NOVEL rows (dedup rejects never charge — see
-// Relation::Insert and ShardedSink::Insert), so duplicate derivations
+// Relation::Insert and StagingSink::Insert), so duplicate derivations
 // cannot inflate the byte budget.
 class MemoryAccountant {
  public:
@@ -87,14 +87,13 @@ class MemoryAccountant {
 // the trace layer (engine_finish events report the delta over an engine
 // run). `attempts` counts Relation::Insert calls, `novel` the ones that
 // stored a new row; the gap is duplicate derivations rejected by dedup.
-// Relaxed atomics: pool workers never insert into counted relations
-// directly (they stage through ShardedSink), but the governor's observers
-// may read from other threads.
+// Relaxed atomics: every overlay of a catalog counts into its root's
+// counters, so requests of concurrent sessions share them.
 //
 // Counting costs two atomic adds per insert, so it stays off until an
-// engine attaches a trace sink (the counters' only consumer). `active` is
-// flipped on the driver thread before any worker is handed tasks; workers
-// only read it, so plain bool is safe.
+// engine attaches a trace sink (the counters' only consumer). `active`
+// only ever turns on, and engines turn it on while they hold the catalog
+// exclusively, so a plain bool is safe.
 struct StorageCounters {
   std::atomic<uint64_t> attempts{0};
   std::atomic<uint64_t> novel{0};
@@ -200,7 +199,8 @@ class Relation {
   // Returns an index on `columns`, building it on first request. The result
   // stays valid (and current) for the relation's lifetime. Safe to call
   // from concurrent readers: the lazy build is serialised by an internal
-  // mutex (pool workers probing the same relation may race to be first).
+  // mutex (requests probing the same stored relation may race to be
+  // first).
   const Index& GetIndex(const ColumnList& columns) const;
 
   // Removes all rows (indexes are dropped too).
@@ -249,7 +249,7 @@ class Relation {
   }
 
   // Invokes fn(Row) for every live row in canonical (raw Value bits,
-  // lexicographic) order — the order segments are stored in and ShardedSink
+  // lexicographic) order — the order segments are stored in and StagingSink
   // merges in. Single-threaded with respect to mutators, like ForEachRow.
   template <typename Fn>
   void ForEachRowOrdered(Fn&& fn) const;
@@ -344,45 +344,38 @@ void Relation::ForEachRowOrdered(Fn&& fn) const {
   for (OrderedCursor c(this); !c.AtEnd(); c.Next()) fn(c.Current());
 }
 
-// ShardedSink: the concurrent-insert staging area the parallel engines
-// emit into. Rows are deduplicated into S shards, each an independent
-// (mutex, hash set, row buffer) triple selected by row hash, so workers
-// contend only when they derive rows landing in the same shard —
-// "per-relation shard lock" granularity rather than one big lock.
+// StagingSink: where an engine stages one round's derivations before
+// folding them into the target relation. Rows are deduplicated into one
+// row buffer through a RowIdSet (the scheme Relation uses for its delta,
+// minus tombstones).
 //
-// Drain(MergeInto) runs on the driving thread between rounds. It merges
-// the staged rows in CANONICAL order — sorted lexicographically by Value
-// bits — which is the determinism keystone of the parallel evaluator:
-// however rows were distributed over workers and shards, the target
-// relation receives them in one thread-count-independent order, so a
-// --threads 8 run is bit-identical (same slots, same iteration counts) to
-// a --threads 1 run that merges through the same sink.
-class ShardedSink {
+// MergeInto moves the staged rows into the target in CANONICAL order —
+// sorted lexicographically by Value bits — not in the order the rules
+// derived them. That fixes the target's slot sequence, so slot order,
+// iteration counts and EvalStats depend only on the program and the data.
+class StagingSink {
  public:
-  static constexpr size_t kDefaultShards = 16;
-
-  explicit ShardedSink(size_t arity, size_t num_shards = kDefaultShards);
+  explicit StagingSink(size_t arity) : arity_(arity) {}
 
   // Attach an accountant so staged rows count against the byte budget
   // while they sit in the sink (MergeInto releases the staging charge;
   // the target relation re-charges what it keeps).
-  void SetAccountant(MemoryAccountant* accountant);
+  void SetAccountant(MemoryAccountant* accountant) { accountant_ = accountant; }
 
   size_t arity() const { return arity_; }
 
   // Stages `row` unless this sink already holds it. Returns true when the
-  // row was new to the sink. Thread-safe.
+  // row was new to the sink.
   bool Insert(Row row);
 
-  // Rows staged so far (exact only while no Insert runs concurrently).
-  size_t size() const;
+  // Rows staged so far.
+  size_t size() const { return rows_.size(); }
 
   // Moves every staged row into `out` (and, for the rows genuinely new in
   // `out`, into `delta` when non-null) in canonical sorted order, then
   // clears the sink. Returns the number of rows new in `out`; when
   // `staged` is non-null it receives the number of rows the sink held
-  // (post worker-side dedup, pre merge dedup — the trace layer's merge
-  // statistic). Driving thread only.
+  // (pre merge dedup — the trace layer's merge statistic).
   size_t MergeInto(Relation* out, Relation* delta = nullptr,
                    size_t* staged = nullptr);
 
@@ -390,20 +383,13 @@ class ShardedSink {
   void Clear();
 
  private:
-  // One shard: a row buffer plus a row-id set over it (the scheme Relation
-  // uses for its delta, minus tombstones).
-  struct Shard {
-    std::mutex mu;
-    std::vector<Value> data;  // staged rows, arity Values each
-    RowIdSet rows;
-  };
-
   size_t RowBytes() const {
     return arity_ * sizeof(Value) + MemoryAccountant::kRowOverheadBytes;
   }
 
   size_t arity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Value> data_;  // staged rows, arity Values each
+  RowIdSet rows_;
   MemoryAccountant* accountant_ = nullptr;  // not owned; may be null
   // MergeInto's sort buffer: pointers to the staged rows, kept across
   // rounds so a merge allocates nothing once it has seen its largest round.

@@ -1,8 +1,8 @@
 // RowIdSet: an open-addressing hash set of 32-bit row ids whose rows live
 // in the owner's flat buffer.
 //
-// It is the one dedup structure under Relation's delta rows, each
-// ShardedSink shard and Answer. The set stores no rows: every operation
+// It is the one dedup structure under Relation's delta rows, StagingSink
+// and Answer. The set stores no rows: every operation
 // that compares rows takes the owner's accessor, `row_of(id)`, returning
 // the id's row as a span. Each slot holds an id beside the low 32 bits of
 // MixBits(HashRow(row)), so a probe reads a stored row only when the hash

@@ -2,7 +2,7 @@
 //
 // Modeled on RDF-3X's FactsSegment/AggregatedFactsSegment (DESIGN.md
 // section 15): a relation's live rows, sorted lexicographically by raw
-// Value bits (the same canonical order ShardedSink::MergeInto uses), are
+// Value bits (the same canonical order StagingSink::MergeInto uses), are
 // packed into 4 KiB pages. Within a page the first row stores every column
 // as a full varint; each following row stores the count of leading columns
 // it shares with its predecessor, one strictly-positive varint delta for

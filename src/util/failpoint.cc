@@ -68,7 +68,7 @@ void ArmLocked(Registry& r, std::string_view site, FailpointSpec spec) {
 
 void LoadEnvironment() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once under call_once before
-  // any worker thread can touch the registry; nothing in-process setenv()s.
+  // any other thread can touch the registry; nothing in-process setenv()s.
   const char* env = std::getenv("SEPREC_FAILPOINTS");
   if (env == nullptr || env[0] == '\0') return;
   std::string value = env;

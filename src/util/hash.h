@@ -28,9 +28,8 @@ inline uint64_t HashWords(const uint64_t* data, size_t n) {
 }
 
 // Canonical FNV-1a-seeded hash of a tuple of Values, column by column.
-// Every row-level dedup structure (Relation's row set, ShardedSink shards,
-// Index probes, the partitioned engines' row routing) hashes through this
-// one function, so a row's hash — and therefore shard/partition routing —
+// Every row-level dedup structure (Relation's row set, StagingSink,
+// Answer, Index probes) hashes through this one function, so a row's hash
 // is identical everywhere.
 inline uint64_t HashRow(std::span<const Value> row) {
   uint64_t h = 0xcbf29ce484222325ULL;

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "datalog/parser.h"
 #include "gen/workloads.h"
+#include "util/string_util.h"
 
 namespace seprec {
 namespace {
@@ -68,6 +74,71 @@ TEST(Analysis, StrataAreTopological) {
   EXPECT_LT(order["base"], order["a"]);
   EXPECT_LT(order["a"], order["b"]);
   EXPECT_LT(order["b"], order["c"]);
+}
+
+// p0(X) :- p1(X). ... p{n-1}(X) :- e(X). — one predicate deeper per rule.
+Program ChainProgram(size_t n) {
+  std::string text;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    text += StrCat("p", i, "(X) :- p", i + 1, "(X).\n");
+  }
+  text += StrCat("p", n - 1, "(X) :- e(X).\n");
+  return ParseProgramOrDie(text);
+}
+
+TEST(Analysis, DeepChainAnalyzesWithoutRecursion) {
+  // 40,000 predicates deep: a walk with one call frame per predicate
+  // overflows the default stack here.
+  const size_t n = 40000;
+  Program chain = ChainProgram(n);
+  auto info = ProgramInfo::Analyze(chain);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_EQ(info->strata().size(), n + 1);
+  EXPECT_EQ(info->strata().front(), std::vector<std::string>{"e"});
+  EXPECT_EQ(info->strata().back(), std::vector<std::string>{"p0"});
+  EXPECT_EQ(PredicateSccs(chain), info->strata());
+}
+
+TEST(Analysis, RulesOfStratumListEveryRuleOnceInProgramOrder) {
+  Program p = ParseProgramOrDie(
+      "b(X) :- a(X).\n"
+      "a(X) :- base(X).\n"
+      "t(X, Y) :- e(X, Y).\n"
+      "b(X) :- c(X).\n"
+      "t(X, Y) :- t(X, Z), e(Z, Y).\n"
+      "c(X) :- b(X).\n"
+      "a(X) :- t(X, X).");
+  auto info = ProgramInfo::Analyze(p);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  std::vector<const Rule*> seen;
+  for (size_t i = 0; i < info->strata().size(); ++i) {
+    std::vector<const Rule*> rules = info->RulesOfStratum(i);
+    for (size_t k = 0; k < rules.size(); ++k) {
+      // Each rule's head lies in the stratum, and the rules keep their
+      // program order.
+      EXPECT_EQ(info->Find(rules[k]->head.predicate)->scc_id,
+                static_cast<int>(i));
+      if (k > 0) {
+        EXPECT_LT(rules[k - 1], rules[k]);
+      }
+    }
+    seen.insert(seen.end(), rules.begin(), rules.end());
+  }
+  std::sort(seen.begin(), seen.end());
+  ASSERT_EQ(seen.size(), info->program().rules.size());
+  for (size_t r = 0; r < seen.size(); ++r) {
+    EXPECT_EQ(seen[r], &info->program().rules[r]);
+  }
+  // A copy answers from its own program.
+  ProgramInfo copy = *info;
+  const size_t b_stratum = copy.Find("b")->scc_id;
+  std::vector<const Rule*> rules = copy.RulesOfStratum(b_stratum);
+  ASSERT_EQ(rules.size(), 3u);
+  for (const Rule* rule : rules) {
+    bool in_copy = false;
+    for (const Rule& r : copy.program().rules) in_copy |= rule == &r;
+    EXPECT_TRUE(in_copy) << rule->ToString();
+  }
 }
 
 TEST(Analysis, DependenciesOfTransitive) {

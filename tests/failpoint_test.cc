@@ -168,13 +168,19 @@ TEST_F(FailpointTest, SiteSnapshotLoad) {
 
 TEST_F(FailpointTest, SiteGovernorPollInjectsCancellation) {
   // governor.poll fires inside ExecutionContext::ShouldStop and behaves
-  // like an external cancellation request hitting mid-fixpoint.
-  ScopedFailpoint scoped("governor.poll");
-  Database db;
-  MakeChain(&db, "edge", "v", 20);
-  Status status = EvaluateSemiNaive(TransitiveClosureProgram(), &db);
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  EXPECT_NE(status.message().find("injected"), std::string::npos);
+  // like an external cancellation request hitting mid-fixpoint: at the
+  // first poll, and several rounds in when the first polls are skipped.
+  for (size_t skip : {0u, 5u}) {
+    FailpointSpec spec;
+    spec.skip = skip;
+    ScopedFailpoint scoped("governor.poll", spec);
+    Database db;
+    MakeChain(&db, "edge", "v", 20);
+    Status status = EvaluateSemiNaive(TransitiveClosureProgram(), &db);
+    EXPECT_EQ(status.code(), StatusCode::kCancelled) << "skip " << skip;
+    EXPECT_NE(status.message().find("injected"), std::string::npos);
+    EXPECT_GE(Failpoints::FireCount("governor.poll"), 1u) << "skip " << skip;
+  }
 }
 
 TEST_F(FailpointTest, SiteGovernorChargeInjectsAllocationSpike) {

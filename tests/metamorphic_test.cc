@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/compiler.h"
 #include "datalog/parser.h"
@@ -187,26 +190,42 @@ TEST(Metamorphic, PartialAnswersAreSubsetsOfFullAnswers) {
   std::sort(full_strings.begin(), full_strings.end());
   ASSERT_EQ(full_strings.size(), 79u);
 
-  bool saw_partial = false;
+  // Iteration budgets, byte budgets and an expired deadline.
+  std::vector<std::pair<std::string, ExecutionLimits>> trips;
   for (size_t budget : {1u, 2u, 4u, 8u, 16u, 32u}) {
+    ExecutionLimits limits;
+    limits.max_iterations = budget;
+    trips.emplace_back(StrCat("iterations=", budget), limits);
+  }
+  for (size_t budget : {1u << 10, 1u << 12, 1u << 14}) {
+    ExecutionLimits limits;
+    limits.max_bytes = budget;
+    trips.emplace_back(StrCat("bytes=", budget), limits);
+  }
+  ExecutionLimits expired;
+  expired.timeout_ms = 0;
+  trips.emplace_back("deadline=0ms", expired);
+
+  bool saw_partial = false;
+  for (const auto& [name, limits] : trips) {
     Database db;
     MakeChain(&db, "edge", "v", 80);
     const std::vector<std::string> names_before = db.RelationNames();
     FixpointOptions options;
-    options.limits.max_iterations = budget;
+    options.limits = limits;
     auto limited = qp->Answer(query, &db, Strategy::kAuto, options);
-    ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+    ASSERT_TRUE(limited.ok()) << name << ": " << limited.status().ToString();
     std::vector<std::string> subset =
         limited->answer.ToStrings(db.symbols());
     std::sort(subset.begin(), subset.end());
     EXPECT_TRUE(std::includes(full_strings.begin(), full_strings.end(),
                               subset.begin(), subset.end()))
-        << "budget " << budget;
+        << name;
     if (limited->partial) {
       saw_partial = true;
-      EXPECT_LT(subset.size(), full_strings.size()) << "budget " << budget;
+      EXPECT_LT(subset.size(), full_strings.size()) << name;
       // The truncated attempt left no trace.
-      EXPECT_EQ(db.RelationNames(), names_before) << "budget " << budget;
+      EXPECT_EQ(db.RelationNames(), names_before) << name;
     }
   }
   EXPECT_TRUE(saw_partial);

@@ -463,7 +463,7 @@ TEST(PreparePipeline, ResultsAreBitIdenticalWithPipelineOff) {
 
       Database db_off;
       load(&db_off);
-      auto off = qp->Prepare(query, &db_off, Strategy::kAuto, {},
+      auto off = qp->Prepare(query, &db_off, Strategy::kAuto,
                              /*run_pipeline=*/false);
       ASSERT_TRUE(off.ok()) << label;
       EXPECT_EQ(off->pass_report(), nullptr);

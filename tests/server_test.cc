@@ -540,6 +540,30 @@ TEST(QueryService, DeeplyNestedProgramIsRefusedAndServingGoesOn) {
             (std::vector<std::string>{"(a, b)", "(a, c)", "(a, d)"}));
 }
 
+TEST(QueryService, DeepChainIsAnsweredAndServingGoesOn) {
+  // p0(X) :- p1(X). ... p39999(X) :- e(X). with the fact e(a): 40,000
+  // predicates deep, past where a recursive dependency walk overflowed
+  // the stack and took the server down.
+  const size_t n = 40000;
+  std::string program;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    program += StrCat("p", i, "(X) :- p", i + 1, "(X).\n");
+  }
+  program += StrCat("p", n - 1, "(X) :- e(X).\ne(a).\n");
+  Database db;
+  QueryService service(&db);
+  ServiceRequest chain;
+  chain.program = program;
+  chain.query = "p0(X)";
+  auto answered = service.Execute(chain);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ((*answered)[0].tuples, std::vector<std::string>{"(a)"});
+  auto next = service.Execute(TcRequest("tc(a, X)"));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ((*next)[0].tuples,
+            (std::vector<std::string>{"(a, b)", "(a, c)", "(a, d)"}));
+}
+
 TEST(QueryService, PerRequestLimitsIsolate) {
   Database db;
   QueryService service(&db);

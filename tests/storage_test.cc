@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/answer.h"
@@ -570,9 +571,91 @@ TEST(SymbolTable, ConcurrentInterningIsConsistent) {
   }
 }
 
-TEST(ShardedSink, ClearReleasesAccountantCharge) {
+// ---- StagingSink ----------------------------------------------------------
+
+TEST(StagingSink, DedupesStagedRows) {
+  StagingSink sink(2);
+  std::vector<Value> a{Value::Int(1), Value::Int(2)};
+  std::vector<Value> b{Value::Int(3), Value::Int(4)};
+  EXPECT_TRUE(sink.Insert(MakeRow(a)));
+  EXPECT_FALSE(sink.Insert(MakeRow(a)));
+  EXPECT_TRUE(sink.Insert(MakeRow(b)));
+  EXPECT_EQ(sink.size(), 2u);
+}
+
+TEST(StagingSink, MergeIsCanonicalWhateverTheStagingOrder) {
+  // However the rules of a round happen to derive a row set, MergeInto
+  // hands the target the same rows in the same slot order: sorted by
+  // Value bits.
+  auto merged = [](bool reversed) {
+    StagingSink sink(2);
+    for (size_t k = 0; k < 1200; ++k) {
+      const size_t j = reversed ? 1199 - k : k;
+      // Each row is staged twice (j and its neighbour derive it).
+      for (size_t d = 0; d < 2; ++d) {
+        const size_t v = j + d;
+        std::vector<Value> row{Value::Int(static_cast<int64_t>(v % 97)),
+                               Value::Int(static_cast<int64_t>(v % 53))};
+        sink.Insert(MakeRow(row));
+      }
+    }
+    Relation out("out", 2);
+    sink.MergeInto(&out);
+    std::vector<std::vector<Value>> rows;
+    out.ForEachRow([&rows](Row r) { rows.emplace_back(r.begin(), r.end()); });
+    return rows;
+  };
+  const std::vector<std::vector<Value>> forward = merged(false);
+  ASSERT_FALSE(forward.empty());
+  auto bits = [](const std::vector<Value>& row) {
+    return std::make_pair(row[0].bits(), row[1].bits());
+  };
+  for (size_t i = 1; i < forward.size(); ++i) {
+    EXPECT_LT(bits(forward[i - 1]), bits(forward[i])) << "slot " << i;
+  }
+  EXPECT_EQ(merged(true), forward);
+}
+
+TEST(StagingSink, MergeIntoReportsOnlyRowsNewInTarget) {
+  Relation out("out", 1);
+  Relation delta("delta", 1);
+  std::vector<Value> a{Value::Int(1)};
+  std::vector<Value> b{Value::Int(2)};
+  out.Insert(MakeRow(a));  // pre-existing
+
+  StagingSink sink(1);
+  sink.Insert(MakeRow(a));
+  sink.Insert(MakeRow(b));
+  size_t staged = 0;
+  EXPECT_EQ(sink.MergeInto(&out, &delta, &staged), 1u);
+  EXPECT_EQ(staged, 2u);
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(delta.size(), 1u);  // only the genuinely new row
+  EXPECT_EQ(sink.size(), 0u);   // drained
+}
+
+TEST(StagingSink, AccountsStagedBytesAndReleasesOnMerge) {
   MemoryAccountant accountant;
-  ShardedSink sink(2);
+  StagingSink sink(2);
+  sink.SetAccountant(&accountant);
+  std::vector<Value> a{Value::Int(1), Value::Int(2)};
+  sink.Insert(MakeRow(a));
+  sink.Insert(MakeRow(a));  // duplicate: must not double-charge
+  const size_t staged = accountant.bytes();
+  EXPECT_GT(staged, 0u);
+
+  Relation out("out", 2);
+  out.SetAccountant(&accountant);
+  sink.MergeInto(&out);
+  // Staging charge released; the relation now carries the row.
+  EXPECT_EQ(accountant.bytes(), staged);
+  out.SetAccountant(nullptr);
+  EXPECT_EQ(accountant.bytes(), 0u);
+}
+
+TEST(StagingSink, ClearReleasesAccountantCharge) {
+  MemoryAccountant accountant;
+  StagingSink sink(2);
   sink.SetAccountant(&accountant);
   ASSERT_EQ(accountant.bytes(), 0u);
   for (int i = 0; i < 100; ++i) {
@@ -596,6 +679,15 @@ TEST(ShardedSink, ClearReleasesAccountantCharge) {
   EXPECT_GT(accountant.bytes(), 0u);
   sink.Clear();
   EXPECT_EQ(accountant.bytes(), 0u);
+}
+
+TEST(StagingSink, HandlesZeroArity) {
+  StagingSink sink(0);
+  EXPECT_TRUE(sink.Insert(Row()));
+  EXPECT_FALSE(sink.Insert(Row()));
+  Relation out("out", 0);
+  EXPECT_EQ(sink.MergeInto(&out), 1u);
+  EXPECT_EQ(out.size(), 1u);
 }
 
 // ---- RowIdSet --------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Evaluation tracing: every engine feeds the TraceSink with typed events,
-// JsonTraceSink serialises them as JSON lines, and the metrics
-// the trace reports are thread-count-invariant where the schema says so.
+// JsonTraceSink serialises them as JSON lines, and the per-rule, per-round
+// and per-engine counts the trace reports agree with each other.
 #include "eval/trace.h"
 
 #include <gtest/gtest.h>
@@ -27,11 +27,9 @@
 namespace seprec {
 namespace {
 
-FixpointOptions TracedOptions(TraceSink* sink, size_t threads = 1) {
+FixpointOptions TracedOptions(TraceSink* sink) {
   FixpointOptions options;
   options.trace = sink;
-  options.limits.parallel.num_threads = threads;
-  options.limits.parallel.min_rows_per_task = 1;
   return options;
 }
 
@@ -171,6 +169,38 @@ TEST(TraceCoverage, SemiNaiveEmitsRounds) {
                                 TracedOptions(&sink))
                   .ok());
   ExpectEngineEvents(sink.Events(), "seminaive", "seminaive", "stratum");
+}
+
+TEST(TraceCoverage, RuleEventsAccountForEveryRound) {
+  // Every head tuple a round emits is attributed to some rule event, and
+  // the rounds' new tuples add up to the engine's total.
+  CollectingTraceSink sink;
+  Database db;
+  MakeRandomGraph(&db, "edge", "v", 25, 80, 11);
+  ASSERT_TRUE(EvaluateSemiNaive(TransitiveClosureProgram(), &db,
+                                TracedOptions(&sink))
+                  .ok());
+  uint64_t round_emitted = 0;
+  uint64_t round_inserted = 0;
+  uint64_t rule_emitted = 0;
+  uint64_t finish_tuples = 0;
+  size_t rounds = 0;
+  for (const TraceEvent& e : sink.Events()) {
+    if (e.kind == TraceEventKind::kRoundEnd) {
+      round_emitted += e.emitted;
+      round_inserted += e.inserted;
+      ++rounds;
+    } else if (e.kind == TraceEventKind::kRule) {
+      rule_emitted += e.emitted;
+    } else if (e.kind == TraceEventKind::kEngineFinish) {
+      finish_tuples = e.tuples;
+    }
+  }
+  EXPECT_GT(rounds, 1u);
+  EXPECT_GT(round_emitted, 0u);
+  EXPECT_EQ(rule_emitted, round_emitted);
+  EXPECT_EQ(round_inserted, finish_tuples);
+  EXPECT_EQ(finish_tuples, db.Find("tc")->size());
 }
 
 TEST(TraceCoverage, SeparableEmitsPhaseRounds) {
@@ -357,8 +387,7 @@ TEST(TraceFailure, PreparedSeparableFinishes) {
   Atom query = ParseAtomOrDie("t(a, Y)");
   auto sep = AnalyzeSeparable(program, "t");
   ASSERT_TRUE(sep.ok()) << sep.status().ToString();
-  auto prepared =
-      PreparedSeparable::Compile(program, *sep, query, &db, ParallelPolicy());
+  auto prepared = PreparedSeparable::Compile(program, *sep, query, &db);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   auto result = (*prepared)->Execute(query, TracedOptions(&sink));
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
@@ -428,70 +457,6 @@ TEST(TraceFailure, IncrementalFinishes) {
   Status status = engine->AddFacts("edge", {{db.symbols().Intern("a")}});
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   ExpectBalanced(sink.Events(), "incremental");
-}
-
-// ---- Parallel invariance --------------------------------------------------
-
-struct TraceTotals {
-  uint64_t round_emitted = 0;
-  uint64_t round_inserted = 0;
-  uint64_t rule_emitted = 0;
-  uint64_t finish_tuples = 0;
-  size_t rounds = 0;
-
-  bool operator==(const TraceTotals& o) const {
-    return round_emitted == o.round_emitted &&
-           round_inserted == o.round_inserted &&
-           rule_emitted == o.rule_emitted &&
-           finish_tuples == o.finish_tuples && rounds == o.rounds;
-  }
-};
-
-TraceTotals TotalsWithThreads(size_t threads) {
-  CollectingTraceSink sink;
-  Database db;
-  MakeRandomGraph(&db, "edge", "v", 25, 80, 11);
-  SEPREC_CHECK(EvaluateSemiNaive(TransitiveClosureProgram(), &db,
-                                 TracedOptions(&sink, threads))
-                   .ok());
-  TraceTotals totals;
-  for (const TraceEvent& e : sink.Events()) {
-    switch (e.kind) {
-      case TraceEventKind::kRoundEnd:
-        totals.round_emitted += e.emitted;
-        totals.round_inserted += e.inserted;
-        ++totals.rounds;
-        break;
-      case TraceEventKind::kRule:
-        totals.rule_emitted += e.emitted;
-        break;
-      case TraceEventKind::kEngineFinish:
-        totals.finish_tuples = e.tuples;
-        break;
-      default:
-        break;
-    }
-  }
-  return totals;
-}
-
-TEST(TraceParallel, TotalsAreThreadCountInvariant) {
-  TraceTotals serial = TotalsWithThreads(1);
-  EXPECT_GT(serial.rounds, 1u);
-  EXPECT_GT(serial.round_emitted, 0u);
-  // Every emitted head tuple is attributed to some rule event.
-  EXPECT_EQ(serial.rule_emitted, serial.round_emitted);
-  for (size_t threads : {2u, 4u}) {
-    TraceTotals parallel = TotalsWithThreads(threads);
-    EXPECT_TRUE(parallel == serial)
-        << threads << " threads: rounds " << parallel.rounds << "/"
-        << serial.rounds << ", emitted " << parallel.round_emitted << "/"
-        << serial.round_emitted << ", inserted " << parallel.round_inserted
-        << "/" << serial.round_inserted << ", rule emitted "
-        << parallel.rule_emitted << "/" << serial.rule_emitted
-        << ", tuples " << parallel.finish_tuples << "/"
-        << serial.finish_tuples;
-  }
 }
 
 // ---- EvalStats breakdowns -------------------------------------------------

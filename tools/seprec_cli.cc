@@ -3,17 +3,16 @@
 //
 //   seprec_cli run <program.dl> [--data REL=FILE.tsv]... [--strategy S]
 //                  [--stats] [--timeout-ms N] [--max-tuples N]
-//                  [--max-bytes N] [--threads N] [--trace FILE]
+//                  [--max-bytes N] [--trace FILE] [--no-cbo]
 //       Load the program, load any TSV data files, execute every query in
 //       the file (?- q. or q?), print answers (and stats with --stats).
 //       The --timeout-ms / --max-tuples / --max-bytes limits govern each
 //       query; a query stopped by a limit prints the sound partial answer
 //       with a "%% partial result (...)" banner and the process exits 3.
-//       --threads N (default 1; also settable via SEPREC_THREADS) runs the
-//       parallel evaluation paths on N pool workers — answers are
-//       bit-identical for every N. --trace FILE appends one JSON object
-//       per line to FILE describing the evaluation (engine, round, rule,
-//       merge, and governor events; see DESIGN.md "Evaluation tracing").
+//       Each query evaluates on one thread. --trace FILE appends one JSON
+//       object per line to FILE describing the evaluation (engine, round,
+//       rule, merge, and governor events; see DESIGN.md "Evaluation
+//       tracing").
 //
 //   seprec_cli check <program.dl>
 //       Static report: predicates, strata, recursion/linearity, and for
@@ -48,14 +47,15 @@
 //       (one JSON object per line under --format json). The CI plan-golden
 //       step diffs these dumps against tools/testdata/golden/.
 //
-//   seprec_cli serve <socket> [--data REL=FILE.tsv]... [--threads N]
-//                    [--trace FILE] [--max-prepared N] [--max-closures N]
+//   seprec_cli serve <socket> [--data REL=FILE.tsv]... [--trace FILE]
+//                    [--max-prepared N] [--max-closures N]
 //                    [--data-dir DIR] [--fsync always|batch|off]
 //                    [--recover strict|tolerant] [--checkpoint-bytes N]
 //       Start the query service on a Unix-domain socket speaking the
 //       JSON-lines protocol (see src/server/server.h). Runs until a client
 //       sends {"op":"shutdown"} or the process receives SIGINT/SIGTERM.
-//       --threads fixes the parallel policy baked into cached plans.
+//       Each session has its own thread, and each request evaluates on
+//       its session's thread.
 //       --data-dir opens (or initialises) a crash-safe data directory:
 //       the database is recovered from its snapshot + WAL before serving,
 //       every load op is write-ahead logged, and {"op":"checkpoint"}
@@ -124,7 +124,7 @@ int Usage() {
                "usage: seprec_cli run <program.dl> [--data REL=FILE]... "
                "[--strategy S] [--stats]\n"
                "                  [--timeout-ms N] [--max-tuples N] "
-               "[--max-bytes N] [--threads N]\n"
+               "[--max-bytes N]\n"
                "                  [--trace FILE] [--no-cbo]\n"
                "       seprec_cli check <program.dl>\n"
                "       seprec_cli explain <program.dl> \"<query>\"\n"
@@ -137,7 +137,7 @@ int Usage() {
                "                  [--query \"<atom>\"] [--max-bound N] "
                "[--explain-plan] [--data REL=FILE]...\n"
                "       seprec_cli serve <socket> [--data REL=FILE]... "
-               "[--threads N] [--trace FILE]\n"
+               "[--trace FILE]\n"
                "                  [--max-prepared N] [--max-closures N] "
                "[--data-dir DIR]\n"
                "                  [--fsync always|batch|off] "
@@ -216,14 +216,6 @@ StatusOr<CommonFlags> ParseFlags(int argc, char** argv, int first) {
     if (arg == "--max-bytes" && i + 1 < argc) {
       SEPREC_ASSIGN_OR_RETURN(int64_t v, ParseCount(arg, argv[++i]));
       flags.options.limits.max_bytes = static_cast<size_t>(v);
-      continue;
-    }
-    if (arg == "--threads" && i + 1 < argc) {
-      SEPREC_ASSIGN_OR_RETURN(int64_t v, ParseCount(arg, argv[++i]));
-      if (v < 1) {
-        return InvalidArgumentError("--threads expects a positive integer");
-      }
-      flags.options.limits.parallel.num_threads = static_cast<size_t>(v);
       continue;
     }
     if (arg == "--trace" && i + 1 < argc) {
@@ -647,14 +639,6 @@ int ServeCommand(const std::string& socket_path, int argc, char** argv,
         return Fail(StrCat("--data expects REL=FILE, got '", spec, "'"));
       }
       data.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      continue;
-    }
-    if (arg == "--threads" && i + 1 < argc) {
-      StatusOr<int64_t> v = ParseCount(arg, argv[++i]);
-      if (!v.ok() || *v < 1) {
-        return Fail("--threads expects a positive integer");
-      }
-      service_options.parallel.num_threads = static_cast<size_t>(*v);
       continue;
     }
     if (arg == "--max-prepared" && i + 1 < argc) {

@@ -39,9 +39,6 @@ EVENT_FIELDS = {
              "emitted": int, "inserted": int, "probes": int},
     "merge": {"engine": str, "phase": str, "round": int, "staged": int,
               "inserted": int},
-    "parallel_round": {"engine": str, "phase": str, "round": int,
-                       "partitions": int, "threads": int,
-                       "queue_depth": int},
     "governor_trip": {"cause": str, "detail": str},
     "cache": {"phase": str, "cause": str, "detail": str},
     "session": {"cause": str, "detail": str},

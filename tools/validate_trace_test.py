@@ -74,24 +74,21 @@ def one_of_each(v=V):
              inserted=1, probes=2),
         dict(envelope(3, "merge", v=v), engine="separable", phase="phase1",
              round=0, staged=2, inserted=1),
-        dict(envelope(4, "parallel_round", v=v), engine="separable",
-             phase="phase1", round=0, partitions=4, threads=2,
-             queue_depth=0),
-        dict(envelope(5, "round_end", v=v), engine="separable",
+        dict(envelope(4, "round_end", v=v), engine="separable",
              phase="phase1", round=0, emitted=1, inserted=1, delta=0),
-        dict(envelope(6, "engine_finish", v=v), engine="separable",
+        dict(envelope(5, "engine_finish", v=v), engine="separable",
              seconds=0.5, iterations=1, tuples=1, polls=0,
              insert_attempts=1, insert_new=1),
-        dict(envelope(7, "governor_trip", v=v), cause="timeout",
+        dict(envelope(6, "governor_trip", v=v), cause="timeout",
              detail="deadline"),
-        dict(envelope(8, "cache", v=v), phase="plan", cause="hit",
+        dict(envelope(7, "cache", v=v), phase="plan", cause="hit",
              detail="key"),
-        dict(envelope(9, "session", v=v), cause="open", detail="fd 7"),
-        pass_event(10, v=v),
-        plan_event(11, v=v),
-        delta_event(12, v=v),
-        subscription_event(13, v=v),
-        dict(envelope(14, "note", v=v), detail="free-form"),
+        dict(envelope(8, "session", v=v), cause="open", detail="fd 7"),
+        pass_event(9, v=v),
+        plan_event(10, v=v),
+        delta_event(11, v=v),
+        subscription_event(12, v=v),
+        dict(envelope(13, "note", v=v), detail="free-form"),
     ]
     assert {e["ev"] for e in events} == set(validate_trace.EVENT_FIELDS)
     return events
@@ -127,6 +124,11 @@ class ValidateTraceTest(unittest.TestCase):
             with self.subTest(v=v):
                 self.write_trace(one_of_each(v=v))
                 self.assertEqual(self.run_validate(), 1)
+
+    def test_unknown_event_rejected(self):
+        unknown = dict(envelope(0, "no_such_event"), engine="seminaive")
+        self.write_trace([unknown] + engine_pair(seq0=1))
+        self.assertEqual(self.run_validate(), 1)
 
     def test_plan_event_missing_algo_rejected(self):
         bad = plan_event(0)
