@@ -209,25 +209,36 @@ std::vector<Strategy> FallbackChain(Strategy first) {
   }
 }
 
-// Copies into a fresh `overlay` each stored IDB relation `predicate`
-// depends on (itself included), ahead of the byte baseline: the copy
-// stands for stored rows, which no request's budget counts. Another arity
-// is left for the engine that writes the predicate to refuse.
-void ShadowStoredIdb(const ProgramInfo& info, const std::string& predicate,
-                     Database* overlay) {
-  std::set<std::string> wanted = info.DependenciesOf(predicate);
-  wanted.insert(predicate);
-  for (const std::string& name : wanted) {
-    const PredicateInfo* pred = info.Find(name);
-    if (pred == nullptr || !pred->is_idb) continue;
-    const Relation* stored = overlay->Find(name);
-    if (stored != nullptr && stored->arity() == pred->arity) {
-      SEPREC_CHECK(overlay->CreateRelation(name, pred->arity).ok());
-    }
-  }
-}
-
 }  // namespace
+
+StatusOr<std::shared_ptr<const QueryProcessor>>
+QueryProcessor::WithStoredRows(const Database& db) const {
+  Program extended;
+  for (const auto& [name, pred] : info_.predicates()) {
+    const Relation* stored =
+        pred.is_idb ? db.Find(Database::StoredRowsName(name)) : nullptr;
+    if (stored == nullptr) continue;
+    if (stored->arity() != pred.arity) {
+      return InvalidArgumentError(StrCat("relation '", name, "' is stored ",
+                                         "with arity ", stored->arity(),
+                                         ", derived with arity ", pred.arity));
+    }
+    Rule exit;  // p(X1, ..., Xk) :- p'(X1, ..., Xk).
+    exit.head.predicate = name;
+    for (size_t i = 1; i <= pred.arity; ++i) {
+      exit.head.args.push_back(Term::Var(StrCat("X", i)));
+    }
+    exit.body.push_back(Literal::MakeAtom(exit.head));
+    exit.body[0].atom.predicate = Database::StoredRowsName(name);
+    extended.rules.push_back(std::move(exit));
+  }
+  if (extended.rules.empty()) return std::shared_ptr<const QueryProcessor>();
+  extended.rules.insert(extended.rules.begin(), program().rules.begin(),
+                        program().rules.end());
+  SEPREC_ASSIGN_OR_RETURN(QueryProcessor qp,
+                          Create(std::move(extended), options_));
+  return std::make_shared<const QueryProcessor>(std::move(qp));
+}
 
 Status QueryProcessor::RunStrategy(Strategy strategy, const Atom& query,
                                    Database* db,
@@ -343,18 +354,10 @@ StatusOr<QueryResult> QueryProcessor::RunChain(
   result.strategy = decided;
   result.reason = std::move(reason);
 
-  // Every attempt starts from the base's current rows, copied before the
-  // byte baseline below.
+  // Every attempt starts from an empty overlay (stored rows are exit rules).
   const bool prepared = overlay != nullptr;
   std::optional<Database> fresh;
   if (!prepared) overlay = &fresh.emplace(db);
-  auto start_attempt = [&]() -> Status {
-    if (prepared) return overlay->Refill();
-    overlay->Discard();
-    ShadowStoredIdb(info_, query.predicate, overlay);
-    return Status::OK();
-  };
-  SEPREC_RETURN_IF_ERROR(start_attempt());
 
   // One governor context spans every attempt, so the budgets bound the
   // whole query (fallback hops included), not each attempt separately. It
@@ -369,7 +372,8 @@ StatusOr<QueryResult> QueryProcessor::RunChain(
     result.strategy = chain[i];
     result.answer = seprec::Answer(query.arity());
     result.stats = EvalStats();
-    if (i > 0) SEPREC_RETURN_IF_ERROR(start_attempt());
+    if (i > 0 && prepared) overlay->Clear();
+    if (i > 0 && !prepared) overlay->Discard();
 
     const bool use_schema =
         schema != nullptr && chain[i] == Strategy::kSeparable;
@@ -424,11 +428,15 @@ StatusOr<QueryResult> QueryProcessor::Answer(
                query.predicate, "'/", pred->arity));
   }
 
+  SEPREC_ASSIGN_OR_RETURN(std::shared_ptr<const QueryProcessor> extended,
+                          WithStoredRows(*db));
+  const QueryProcessor* effective = extended != nullptr ? extended.get() : this;
+
   std::vector<Strategy> chain;
   Strategy decided;
   std::string reason;
   if (strategy == Strategy::kAuto) {
-    Decision decision = Decide(query);
+    Decision decision = effective->Decide(query);
     decided = decision.strategy;
     reason = std::move(decision.reason);
     chain = FallbackChain(decided);
@@ -437,9 +445,9 @@ StatusOr<QueryResult> QueryProcessor::Answer(
     reason = "forced by caller";
     chain = {strategy};
   }
-  return RunChain(query, db, chain, decided, std::move(reason), options,
-                  /*overlay=*/nullptr, /*schema=*/nullptr, /*reuse=*/nullptr,
-                  /*capture=*/nullptr);
+  return effective->RunChain(query, db, chain, decided, std::move(reason),
+                             options, /*overlay=*/nullptr, /*schema=*/nullptr,
+                             /*reuse=*/nullptr, /*capture=*/nullptr);
 }
 
 StatusOr<QueryProcessor::PipelinePrep> QueryProcessor::RunPipeline(
@@ -518,16 +526,19 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
   }
 
   PreparedQuery prepared;
-  prepared.qp_ = this;
+  SEPREC_ASSIGN_OR_RETURN(prepared.owned_qp_, WithStoredRows(*db));
+  prepared.qp_ =
+      prepared.owned_qp_ != nullptr ? prepared.owned_qp_.get() : this;
   prepared.predicate_ = query.predicate;
   prepared.bound_ = BoundPositions(query);
   prepared.db_ = db;
   prepared.overlay_ = std::make_unique<Database>(db);
   Database* overlay = prepared.overlay_.get();
   if (strategy == Strategy::kAuto && run_pipeline) {
-    SEPREC_ASSIGN_OR_RETURN(PipelinePrep prep, RunPipeline(query));
-    prepared.owned_qp_ = std::move(prep.optimized);
-    if (prepared.owned_qp_ != nullptr) {
+    SEPREC_ASSIGN_OR_RETURN(PipelinePrep prep,
+                            prepared.qp_->RunPipeline(query));
+    if (prep.optimized != nullptr) {
+      prepared.owned_qp_ = std::move(prep.optimized);
       prepared.qp_ = prepared.owned_qp_.get();
     }
     prepared.decided_ = prep.report.strategy;
@@ -535,7 +546,7 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
     prepared.chain_ = FallbackChain(prepared.decided_);
     prepared.pass_report_ = std::move(prep.report);
   } else if (strategy == Strategy::kAuto) {
-    Decision decision = Decide(query);
+    Decision decision = prepared.qp_->Decide(query);
     prepared.decided_ = decision.strategy;
     prepared.reason_ = std::move(decision.reason);
     prepared.chain_ = FallbackChain(prepared.decided_);
@@ -548,11 +559,13 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
   // From here on everything compiles against the program the plan will
   // execute — the rewritten one when the pipeline produced it. Rule plans
   // bind concrete relations, so its IDB relations exist in the overlay
-  // first (a stored one as a copy, which planning reads).
+  // first, empty, each recorded with what the root stores under its name.
   const QueryProcessor* effective = prepared.qp_;
   for (const auto& [name, info] : effective->info_.predicates()) {
     if (!info.is_idb) continue;
     SEPREC_RETURN_IF_ERROR(overlay->CreateRelation(name, info.arity).status());
+    const std::string stored_name = Database::StoredRowsName(name);
+    prepared.stored_.emplace_back(stored_name, db->Find(stored_name));
   }
   if (prepared.pass_report_.has_value()) {
     // Plan once per prepared query: the service's compiled-plan cache
@@ -605,7 +618,6 @@ StatusOr<PreparedQuery> QueryProcessor::Prepare(
       }
     }
   }
-  overlay->Clear();  // Execute refills it
   return prepared;
 }
 
@@ -634,11 +646,14 @@ StatusOr<QueryResult> PreparedQuery::Execute(
         "a prepared query never commits its writes; use "
         "QueryProcessor::Answer to keep derived tuples");
   }
+  if (Stale()) {
+    return FailedPreconditionError(
+        "the database now stores a relation the plan derives; prepare again");
+  }
   StatusOr<QueryResult> result =
       qp_->RunChain(query, db, chain_, decided_, reason_, options,
                     overlay_.get(), schema_.get(), reuse, capture);
-  // Emptied whatever the outcome: a cached plan holds no copy of stored
-  // rows.
+  // Emptied whatever the outcome: a cached plan keeps no rows charged.
   overlay_->Clear();
   return result;
 }

@@ -138,6 +138,9 @@ class QueryProcessor {
   // Answers `query` against `db`. `strategy` kAuto defers to Decide; a
   // forced strategy fails with FAILED_PRECONDITION when inapplicable.
   //
+  // Stored rows are facts: the program runs with an exit rule for each
+  // IDB predicate `db` stores (see WithStoredRows). Prepare does the same.
+  //
   // Each attempt evaluates in a fresh overlay of `db` (see Database), and
   // only a complete answer hands the overlay's relations to `db`.
   //
@@ -214,6 +217,12 @@ class QueryProcessor {
   };
   StatusOr<PipelinePrep> RunPipeline(const Atom& query) const;
 
+  // The program plus p(X1, ..., Xk) :- p'(X1, ..., Xk) for each IDB
+  // predicate p the root of `db` stores (p' = Database::StoredRowsName(p)),
+  // or null when it stores none; another arity is INVALID_ARGUMENT.
+  StatusOr<std::shared_ptr<const QueryProcessor>> WithStoredRows(
+      const Database& db) const;
+
   // Executes one concrete (non-kAuto) strategy, filling result->answer and
   // result->stats. `options.context` must be set by the caller. When
   // `schema` is non-null and the strategy is Separable, the pre-compiled
@@ -229,9 +238,9 @@ class QueryProcessor {
   // fallback chain under one governor context, each attempt in an overlay
   // of `db`. With `overlay` null (Answer) the attempts share a fresh one,
   // discarded between attempts and committed to `db` when the answer is
-  // complete. Otherwise (a prepared query) `overlay` is refilled before
-  // each attempt (see Database::Refill), and Execute empties it after the
-  // chain; the answer holds plain Values, valid after that.
+  // complete. Otherwise (a prepared query) `overlay` arrives empty, is
+  // cleared between attempts, and Execute empties it after the chain; the
+  // answer holds plain Values, valid after that.
   StatusOr<QueryResult> RunChain(const Atom& query, Database* db,
                                  const std::vector<Strategy>& chain,
                                  Strategy decided, std::string reason,
@@ -279,7 +288,19 @@ class PreparedQuery {
   }
   // True when the pipeline rewrote the program and this plan executes the
   // rewritten form (from an internally owned processor).
-  bool pipeline_rewrote() const { return owned_qp_ != nullptr; }
+  bool pipeline_rewrote() const {
+    return pass_report_.has_value() && pass_report_->rewritten;
+  }
+
+  // True when, under the name of a predicate the plan derives, the root
+  // stores another relation than at Prepare (typically a first one): the
+  // plan lacks its exit rule. One root lookup per IDB predicate.
+  bool Stale() const {
+    for (const auto& [stored_name, stored] : stored_) {
+      if (db_->Find(stored_name) != stored) return true;
+    }
+    return false;
+  }
 
   // True when `query` has this prepared shape: same predicate and the same
   // bound-position set (constants are free to differ).
@@ -289,8 +310,8 @@ class PreparedQuery {
   // which must be the database Prepare compiled against. `reuse`/`capture`
   // forward to the compiled schema (ignored without one, or on fallback
   // attempts). Nothing the evaluation writes reaches `db`: `commit` true is
-  // INVALID_ARGUMENT (use QueryProcessor::Answer to keep derived tuples),
-  // as is a relation `db` now stores with another arity than compiled.
+  // INVALID_ARGUMENT (use QueryProcessor::Answer to keep derived tuples).
+  // A Stale plan is FAILED_PRECONDITION.
   StatusOr<QueryResult> Execute(const Atom& query, Database* db,
                                 const FixpointOptions& options = {},
                                 const Phase1Closure* reuse = nullptr,
@@ -302,10 +323,11 @@ class PreparedQuery {
   PreparedQuery() = default;
 
   const QueryProcessor* qp_ = nullptr;  // must outlive this object
-  // When the pipeline rewrote the program, qp_ points at this owned
-  // processor for the rewritten form (kept alive with the plan; the outer
-  // processor's lifetime requirement is unchanged).
+  // The program the plan runs when not the outer processor's (exit rules
+  // added, or rewritten by the pipeline); stored_: each IDB predicate's
+  // StoredRowsName and what it resolved to at Prepare, for Stale.
   std::shared_ptr<const QueryProcessor> owned_qp_;
+  std::vector<std::pair<std::string, const Relation*>> stored_;
   std::optional<PassReport> pass_report_;
   std::string predicate_;
   std::vector<bool> bound_;  // the prepared selection shape

@@ -85,6 +85,27 @@ StatusOr<CountingRewrite> CountingTransform(const Program& program,
   out.uses_path_index = rec.recursive_rules.size() > 1;
   const bool path = out.uses_path_index;
 
+  // A recursive atom whose bound arguments are all bound head variables
+  // passes the selection's values on unchanged (or permuted), so its
+  // descent adds a count level every round whatever the data and never
+  // ends.
+  std::set<std::string> bound_head;
+  for (uint32_t p : out.bound_positions) bound_head.insert(rec.head_vars[p]);
+  for (size_t i = 0; i < rec.recursive_rules.size(); ++i) {
+    const Atom& body_t = rec.RecursiveBodyAtom(i);
+    bool stays = true;
+    for (uint32_t p : out.bound_positions) {
+      const Term& arg = body_t.args[p];
+      if (!arg.IsVar() || !bound_head.count(arg.name)) stays = false;
+    }
+    if (stays) {
+      return FailedPreconditionError(
+          StrCat("the recursive atom passes the bound columns unchanged, so "
+                 "the counting descent never ends: ",
+                 rec.recursive_rules[i].ToString()));
+    }
+  }
+
   // Builds pred(<level>, [<path>,] rest...) — the path column exists only
   // in the generalized (p > 1) method.
   auto make_atom = [path](const std::string& pred, Term level, Term key,

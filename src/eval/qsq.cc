@@ -1,5 +1,6 @@
 #include "eval/qsq.h"
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -25,24 +26,37 @@ namespace {
 // reading the Δ of the ans relation), so every tuple is processed a
 // bounded number of times — the semi-naive discipline applied to the QSQR
 // supplementary system.
+//
+// Relations are referred to by their index in QsqrEngine::tracked_.
 struct SweepStep {
   RulePlan delta_prev_plan;  // Δsup_{j-1} ⋈ lit(full)
-  std::string sup_relation;
+  size_t sup = 0;
   std::unique_ptr<RulePlan> delta_lit_plan;  // sup_{j-1}(full) ⋈ Δans
   std::unique_ptr<RulePlan> need_plan;  // Δsup_{j-1} projected to subqueries
-  std::string input_relation;
+  size_t input = 0;  // the subgoal's input (with need_plan only)
 };
 
 struct RuleSweep {
   std::vector<SweepStep> steps;
   RulePlan head_plan;  // Δsup_m projected to the head
-  std::string ans_relation;
+  size_t ans = 0;
 };
 
 struct AdornedPredicate {
   std::string input_relation;  // bound-argument tuples (subqueries)
   std::string ans_relation;    // full-arity answers
+  size_t input = 0;
   size_t arity = 0;
+};
+
+// A relation the pass loop maintains: its full extent, its delta (the
+// last pass's additions), the scratch the current pass writes, and the
+// sweeps with a plan that reads its delta.
+struct TrackedRelation {
+  Relation* full = nullptr;
+  Relation* delta = nullptr;
+  std::unique_ptr<Relation> scratch;
+  std::vector<size_t> readers;
 };
 
 class QsqrEngine {
@@ -57,6 +71,9 @@ class QsqrEngine {
         join_order_(join_order) {}
 
   Status Setup(const Atom& query) {
+    for (size_t i = 0; i < rectified_.rules.size(); ++i) {
+      rules_by_head_[rectified_.rules[i].head.predicate].push_back(i);
+    }
     query_key_ = AdornedKey(query.predicate, AdornmentOfAtom(query, {}));
     std::deque<std::pair<std::string, std::string>> queue;
     std::set<std::pair<std::string, std::string>> done;
@@ -70,17 +87,15 @@ class QsqrEngine {
     return Status::OK();
   }
 
+  // Each pass runs, in sweep order, only the sweeps that read a delta
+  // holding rows (the others would emit nothing), and folds only the
+  // scratch relations those sweeps write, so a pass costs what changed
+  // rather than the size of the adorned system.
   void Run(const Atom& query, ExecutionContext* ctx, EvalStats* stats,
            const std::string& phase) {
     TraceSink* trace = ctx->trace();
     const bool measuring = stats != nullptr || trace != nullptr;
-    // Scratch per tracked relation.
-    std::map<std::string, std::unique_ptr<Relation>> scratch;
-    for (const std::string& name : tracked_) {
-      scratch.emplace(name, std::make_unique<Relation>(
-                                "$qsq_scratch", db_->Find(name)->arity()));
-      db_->Find(DeltaName(name))->Clear();
-    }
+    for (TrackedRelation& t : tracked_) t.delta->Clear();
 
     // Seed the query's input (and its delta).
     const AdornedPredicate& root = adorned_.at(query_key_);
@@ -91,22 +106,22 @@ class QsqrEngine {
                          ? Value::Int(arg.int_value)
                          : db_->symbols().Intern(arg.name));
     }
-    db_->Find(root.input_relation)->Insert(Row(seed.data(), seed.size()));
-    db_->Find(DeltaName(root.input_relation))
-        ->Insert(Row(seed.data(), seed.size()));
+    tracked_[root.input].full->Insert(Row(seed.data(), seed.size()));
+    tracked_[root.input].delta->Insert(Row(seed.data(), seed.size()));
     ctx->NoteTuples(1);
+    // The tracked relations whose delta holds rows.
+    std::vector<size_t> changed = {root.input};
 
     size_t total = 1;
     size_t passes = 0;
-    bool changed = true;
-    while (changed) {
+    std::vector<size_t> due;
+    std::vector<size_t> written;
+    while (!changed.empty()) {
       ++passes;
       if (ctx->NoteIterationAndCheck()) break;
       uint64_t delta_rows = 0;
       if (trace != nullptr) {
-        for (const std::string& name : tracked_) {
-          delta_rows += db_->Find(DeltaName(name))->size();
-        }
+        for (size_t t : changed) delta_rows += tracked_[t].delta->size();
         TraceEvent e;
         e.kind = TraceEventKind::kRoundStart;
         e.engine = "qsqr";
@@ -115,39 +130,49 @@ class QsqrEngine {
         e.delta = delta_rows;
         trace->Emit(e);
       }
+      due.clear();
+      for (size_t t : changed) {
+        due.insert(due.end(), tracked_[t].readers.begin(),
+                   tracked_[t].readers.end());
+      }
+      SortUnique(&due);
+      written.clear();
       RuleExecMetrics pass_metrics;
       RuleExecMetrics* pm = measuring ? &pass_metrics : nullptr;
-      for (RuleSweep& sweep : sweeps_) {
+      for (size_t s : due) {
+        RuleSweep& sweep = sweeps_[s];
         for (SweepStep& step : sweep.steps) {
-          Relation* sup_scratch = scratch.at(step.sup_relation).get();
+          Relation* sup_scratch = tracked_[step.sup].scratch.get();
           step.delta_prev_plan.ExecuteInto(sup_scratch, nullptr, pm);
           if (step.delta_lit_plan != nullptr) {
             step.delta_lit_plan->ExecuteInto(sup_scratch, nullptr, pm);
           }
+          written.push_back(step.sup);
           if (step.need_plan != nullptr) {
-            step.need_plan->ExecuteInto(scratch.at(step.input_relation).get(),
+            step.need_plan->ExecuteInto(tracked_[step.input].scratch.get(),
                                         nullptr, pm);
+            written.push_back(step.input);
           }
         }
-        sweep.head_plan.ExecuteInto(scratch.at(sweep.ans_relation).get(),
+        sweep.head_plan.ExecuteInto(tracked_[sweep.ans].scratch.get(),
                                     nullptr, pm);
+        written.push_back(sweep.ans);
       }
       // Fold: additions become the next pass's deltas.
-      changed = false;
+      for (size_t t : changed) tracked_[t].delta->Clear();
+      changed.clear();
+      SortUnique(&written);
       size_t pass_new = 0;
-      for (const std::string& name : tracked_) {
-        Relation* full = db_->Find(name);
-        Relation* delta = db_->Find(DeltaName(name));
-        delta->Clear();
-        Relation* sc = scratch.at(name).get();
-        sc->ForEachRow([&](Row row) {
-          if (full->Insert(row)) {
-            delta->Insert(row);
+      for (size_t t : written) {
+        TrackedRelation& rel = tracked_[t];
+        rel.scratch->ForEachRow([&](Row row) {
+          if (rel.full->Insert(row)) {
+            rel.delta->Insert(row);
             ++pass_new;
-            changed = true;
           }
         });
-        sc->Clear();
+        rel.scratch->Clear();
+        if (!rel.delta->empty()) changed.push_back(t);
       }
       total += pass_new;
       ctx->NoteTuples(pass_new);
@@ -216,13 +241,23 @@ class QsqrEngine {
     return info_.IsIdb(pred) && !base_like_.count(pred);
   }
 
-  // Creates `name` (and its delta) with the given arity and tracks it.
-  Status Track(const std::string& name, size_t arity) {
-    SEPREC_RETURN_IF_ERROR(db_->CreateRelation(name, arity).status());
-    SEPREC_RETURN_IF_ERROR(
-        db_->CreateRelation(DeltaName(name), arity).status());
-    tracked_.insert(name);
-    return Status::OK();
+  static void SortUnique(std::vector<size_t>* v) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  }
+
+  // Creates `name` (and its delta) with the given arity, tracks it once,
+  // and returns its index in tracked_.
+  StatusOr<size_t> Track(const std::string& name, size_t arity) {
+    auto it = tracked_index_.find(name);
+    if (it != tracked_index_.end()) return it->second;
+    SEPREC_ASSIGN_OR_RETURN(Relation * full, db_->CreateRelation(name, arity));
+    SEPREC_ASSIGN_OR_RETURN(Relation * delta,
+                            db_->CreateRelation(DeltaName(name), arity));
+    tracked_index_.emplace(name, tracked_.size());
+    tracked_.push_back(TrackedRelation{
+        full, delta, std::make_unique<Relation>("$qsq_scratch", arity), {}});
+    return tracked_.size() - 1;
   }
 
   Status SetupAdorned(const std::string& pred, const std::string& adornment,
@@ -237,14 +272,14 @@ class QsqrEngine {
     }
     ap.input_relation = StrCat("$qsq_in_", key);
     ap.ans_relation = StrCat("$qsq_ans_", key);
-    SEPREC_RETURN_IF_ERROR(Track(ap.input_relation, bound_arity));
-    SEPREC_RETURN_IF_ERROR(Track(ap.ans_relation, ap.arity));
+    SEPREC_ASSIGN_OR_RETURN(ap.input, Track(ap.input_relation, bound_arity));
+    SEPREC_ASSIGN_OR_RETURN(const size_t ans, Track(ap.ans_relation, ap.arity));
     adorned_.emplace(key, ap);
 
-    size_t rule_id = 0;
-    for (const Rule& rule : rectified_.rules) {
-      ++rule_id;
-      if (rule.head.predicate != pred) continue;
+    for (size_t rule_index : rules_by_head_[pred]) {
+      const Rule& rule = rectified_.rules[rule_index];
+      const size_t rule_id = rule_index + 1;
+      const size_t sweep_id = sweeps_.size();
       if (rule.aggregate.has_value()) {
         return FailedPreconditionError(
             StrCat("QSQR cannot expand the aggregate rule: ",
@@ -263,6 +298,7 @@ class QsqrEngine {
 
       std::vector<SweepStep> steps;
       std::string prev_relation = ap.input_relation;
+      size_t prev = ap.input;
       std::vector<Term> prev_vars = bound_head_args;
       std::set<std::string> available = bound;
 
@@ -289,7 +325,8 @@ class QsqrEngine {
         Literal lit = ordered[j];
         std::unique_ptr<RulePlan> need_plan;
         std::unique_ptr<RulePlan> delta_lit_plan;
-        std::string input_relation;
+        size_t input = 0;
+        tracked_[prev].readers.push_back(sweep_id);
         bool lit_is_goal =
             lit.IsPositiveAtom() && IsGoal(lit.atom.predicate);
 
@@ -299,15 +336,17 @@ class QsqrEngine {
             queue->emplace_back(lit.atom.predicate, beta);
           }
           std::string sub_key = AdornedKey(lit.atom.predicate, beta);
-          input_relation = StrCat("$qsq_in_", sub_key);
           size_t sub_bound = 0;
           for (char c : beta) {
             if (c == 'b') ++sub_bound;
           }
-          SEPREC_RETURN_IF_ERROR(Track(input_relation, sub_bound));
-          SEPREC_RETURN_IF_ERROR(
+          SEPREC_ASSIGN_OR_RETURN(
+              input, Track(StrCat("$qsq_in_", sub_key), sub_bound));
+          SEPREC_ASSIGN_OR_RETURN(
+              const size_t sub_ans,
               Track(StrCat("$qsq_ans_", sub_key),
                     info_.Find(lit.atom.predicate)->arity));
+          tracked_[sub_ans].readers.push_back(sweep_id);
 
           // New subqueries come only from NEW sup_{j-1} tuples.
           Rule need;
@@ -356,14 +395,16 @@ class QsqrEngine {
 
         std::string sup_name =
             StrCat("$qsq_sup_", key, "_", rule_id, "_", j);
-        SEPREC_RETURN_IF_ERROR(Track(sup_name, vars.size()));
-        steps.push_back(SweepStep{std::move(delta_prev_plan), sup_name,
+        SEPREC_ASSIGN_OR_RETURN(const size_t sup,
+                                Track(sup_name, vars.size()));
+        steps.push_back(SweepStep{std::move(delta_prev_plan), sup,
                                   std::move(delta_lit_plan),
-                                  std::move(need_plan),
-                                  std::move(input_relation)});
+                                  std::move(need_plan), input});
         prev_relation = sup_name;
+        prev = sup;
         prev_vars = std::move(vars);
       }
+      tracked_[prev].readers.push_back(sweep_id);
 
       // Final projection: ans(head args) :- Δsup_m(vars).
       Rule head_rule;
@@ -377,7 +418,7 @@ class QsqrEngine {
           RulePlan head_plan,
           RulePlan::Compile(head_rule, db_, delta_prev_opts));
       sweeps_.push_back(RuleSweep{std::move(steps), std::move(head_plan),
-                                  ap.ans_relation});
+                                  ans});
     }
     return Status::OK();
   }
@@ -388,8 +429,10 @@ class QsqrEngine {
   std::set<std::string> base_like_;
   JoinOrderMode join_order_;
   std::string query_key_;
+  std::map<std::string, std::vector<size_t>> rules_by_head_;
   std::map<std::string, AdornedPredicate> adorned_;
-  std::set<std::string> tracked_;
+  std::vector<TrackedRelation> tracked_;
+  std::map<std::string, size_t> tracked_index_;
   std::vector<RuleSweep> sweeps_;
 };
 

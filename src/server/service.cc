@@ -250,6 +250,19 @@ StatusOr<std::vector<QueryOutcome>> QueryService::Execute(
     {
       std::lock_guard<std::mutex> db_lock(db_mu_);
       Status run = [&]() -> Status {
+        if (plan != nullptr && plan->prepared.Stale()) {
+          // Prepared before a relation it derives was stored: prepare again.
+          std::unique_lock<std::shared_mutex> lock(cache_mu_);
+          auto it = plans_.find(plan_key);
+          if (it != plans_.end() && it->second == plan) {
+            TraceCache("plan", "evict", plan_key);
+            plans_.erase(it);
+          }
+          --stats_.plan_hits;
+          ++stats_.plan_misses;
+          out.plan_cache_hit = false;
+          plan = nullptr;
+        }
         if (plan == nullptr) {
           // Compile: the per-shape cost. Prepare reads the database (its
           // plans bind stored relations, and a body relation no layer
@@ -351,17 +364,7 @@ StatusOr<std::vector<QueryOutcome>> QueryService::Execute(
             reuse_entry != nullptr ? &reuse_entry->closure : nullptr,
             try_capture ? &captured : nullptr,
             /*commit=*/false);
-        if (!result.ok()) {
-          // Not served again: Prepare reports what changed (say, a
-          // relation now stored with another arity).
-          std::unique_lock<std::shared_mutex> lock(cache_mu_);
-          auto it = plans_.find(plan_key);
-          if (it != plans_.end() && it->second == plan) {
-            TraceCache("plan", "evict", plan_key);
-            plans_.erase(it);
-          }
-          return result.status();
-        }
+        if (!result.ok()) return result.status();
         out.result = std::move(result).value();
 
         // A closure is cacheable only when it is provably the FULL phase-1

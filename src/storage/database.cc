@@ -8,6 +8,38 @@
 
 namespace seprec {
 
+namespace {
+
+// A '$' name is evaluation scratch, whatever it ends with.
+bool IsStoredRowsName(std::string_view name) {
+  return name.size() > 1 && !name.starts_with("$") && name.ends_with("'");
+}
+
+// `rel` when it has `arity`; a clash is INVALID_ARGUMENT.
+StatusOr<Relation*> OfArity(Relation* rel, size_t arity) {
+  if (rel->arity() == arity) return rel;
+  return InvalidArgumentError(StrCat("relation '", rel->name(),
+                                     "' already exists with arity ",
+                                     rel->arity(), ", requested ", arity));
+}
+
+}  // namespace
+
+std::string Database::StoredRowsName(std::string_view predicate) {
+  return StrCat(predicate, "'");
+}
+
+Status Database::CheckRelationName(std::string_view name) {
+  if (name.size() > kMaxRelationNameBytes) {
+    return InvalidArgumentError(
+        StrCat("relation name of ", name.size(), " bytes exceeds the ",
+               kMaxRelationNameBytes, "-byte limit"));
+  }
+  if (!IsStoredRowsName(name)) return Status::OK();
+  return InvalidArgumentError(
+      StrCat("relation name '", name, "' is reserved for stored rows"));
+}
+
 Database::Database()
     : base_(nullptr), root_(this), stats_(std::make_unique<StatsCatalog>()) {}
 
@@ -24,28 +56,12 @@ void Database::Destroy(std::unique_ptr<Relation> relation) {
 
 StatusOr<Relation*> Database::CreateRelation(std::string_view name,
                                              size_t arity) {
-  if (name.size() > kMaxRelationNameBytes) {
-    return InvalidArgumentError(
-        StrCat("relation name of ", name.size(), " bytes exceeds the ",
-               kMaxRelationNameBytes, "-byte limit"));
-  }
+  SEPREC_RETURN_IF_ERROR(CheckRelationName(name));
   auto it = relations_.find(std::string(name));
-  const Relation* stored = nullptr;
-  if (it != relations_.end()) {
-    stored = it->second.get();
-  } else if (base_ != nullptr) {
-    stored = base_->Find(name);
-  }
-  if (stored != nullptr && stored->arity() != arity) {
-    return InvalidArgumentError(
-        StrCat("relation '", name, "' already exists with arity ",
-               stored->arity(), ", requested ", arity));
-  }
-  if (it != relations_.end()) return it->second.get();
+  if (it != relations_.end()) return OfArity(it->second.get(), arity);
   auto relation = std::make_unique<Relation>(std::string(name), arity);
   Relation* ptr = relation.get();
   ptr->SetAccountant(&accountant());
-  if (stored != nullptr) ptr->CopyFrom(*stored);
   ptr->SetCounters(&counters());
   relations_.emplace(std::string(name), std::move(relation));
   return ptr;
@@ -54,27 +70,21 @@ StatusOr<Relation*> Database::CreateRelation(std::string_view name,
 StatusOr<Relation*> Database::FindOrCreate(std::string_view name,
                                            size_t arity) {
   Relation* rel = Find(name);
-  if (rel == nullptr) {
-    return (name.starts_with("$") ? this : root_)->CreateRelation(name, arity);
-  }
-  if (rel->arity() != arity) {
-    return InvalidArgumentError(
-        StrCat("relation '", name, "' already exists with arity ",
-               rel->arity(), ", requested ", arity));
-  }
-  return rel;
+  if (rel != nullptr) return OfArity(rel, arity);
+  return (name.starts_with("$") ? this : root_)->CreateRelation(name, arity);
 }
 
 Relation* Database::Find(std::string_view name) {
+  if (IsStoredRowsName(name)) {
+    return root_->Find(name.substr(0, name.size() - 1));
+  }
   auto it = relations_.find(std::string(name));
   if (it != relations_.end()) return it->second.get();
   return base_ == nullptr ? nullptr : base_->Find(name);
 }
 
 const Relation* Database::Find(std::string_view name) const {
-  auto it = relations_.find(std::string(name));
-  if (it != relations_.end()) return it->second.get();
-  return base_ == nullptr ? nullptr : base_->Find(name);
+  return const_cast<Database*>(this)->Find(name);
 }
 
 Status Database::AddFact(std::string_view relation,
@@ -117,27 +127,6 @@ void Database::Drop(std::string_view name) {
     // never feed a cache key. An overlay's relations were never stored.
     BumpGeneration();
   }
-}
-
-Status Database::Refill() {
-  SEPREC_CHECK(base_ != nullptr);
-  for (const auto& [name, rel] : relations_) {
-    const Relation* stored = base_->Find(name);
-    if (stored != nullptr && stored->arity() != rel->arity()) {
-      return InvalidArgumentError(
-          StrCat("relation '", name, "' is now stored with arity ",
-                 stored->arity(), ", but the overlay holds it with arity ",
-                 rel->arity()));
-    }
-  }
-  for (auto& [name, rel] : relations_) {
-    if (const Relation* stored = base_->Find(name)) {
-      rel->CopyFrom(*stored);
-    } else {
-      rel->Clear();
-    }
-  }
-  return Status::OK();
 }
 
 void Database::Clear() {

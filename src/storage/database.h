@@ -28,10 +28,10 @@ inline constexpr size_t kMaxRelationNameBytes = 0xFFFF;
 // of another database (its base), in which an evaluation keeps what it
 // writes. In an overlay:
 //
-//   * Find resolves a name in the overlay first, then in the base.
+//   * Find resolves a name in the overlay first, then in the base, except
+//     StoredRowsName(p), which resolves to the root's own relation p.
 //   * CreateRelation creates a relation in the overlay (engines call it
-//     for what they write). One the base holds starts as a copy of the
-//     stored relation, so stored rows of an IDB predicate still count.
+//     for what they write). It starts empty and shadows the base's.
 //   * FindOrCreate (for the relations a rule body reads) creates a missing
 //     '$' name, evaluation scratch, in the overlay, and any other name in
 //     the root, where rows loaded later still reach the compiled plan.
@@ -44,6 +44,13 @@ inline constexpr size_t kMaxRelationNameBytes = 0xFFFF;
 // must outlive the overlay.
 class Database {
  public:
+  // p', the name under which a rule reads the rows the root stores for
+  // p. The parser cannot produce it: a quoted symbol never holds a quote.
+  static std::string StoredRowsName(std::string_view predicate);
+  // OK for a name CreateRelation (and so the WAL) accepts: at most
+  // kMaxRelationNameBytes long, and not a StoredRowsName.
+  static Status CheckRelationName(std::string_view name);
+
   // A root database.
   Database();
   // An overlay of `base` (see above).
@@ -59,9 +66,7 @@ class Database {
 
   // Creates relation `name` with the given arity in this layer, or returns
   // the existing one (whose arity must match; mismatch is an error). A
-  // name longer than kMaxRelationNameBytes is an error. In an overlay, a
-  // name the base holds starts as a copy of the stored relation, whose
-  // arity must match too.
+  // name CheckRelationName refuses is an error.
   StatusOr<Relation*> CreateRelation(std::string_view name, size_t arity);
 
   // Returns the relation `name` resolves to (see Find), creating an empty
@@ -69,8 +74,7 @@ class Database {
   // otherwise. The arity must match.
   StatusOr<Relation*> FindOrCreate(std::string_view name, size_t arity);
 
-  // Returns the relation or nullptr, looking in this layer first and then
-  // in the base.
+  // Returns the relation `name` resolves to (see above), or nullptr.
   Relation* Find(std::string_view name);
   const Relation* Find(std::string_view name) const;
 
@@ -87,13 +91,8 @@ class Database {
   // generation.
   void Drop(std::string_view name);
 
-  // Overlay only. Refill readies this layer's relations for an
-  // evaluation: one whose name the base stores becomes a copy of it, the
-  // others empty. It refuses (INVALID_ARGUMENT, nothing refilled) a name
-  // the base now stores with another arity. Clear empties them all, so no
-  // copy stays charged between evaluations. Both keep the relations, so
+  // Overlay only. Clear empties this layer's relations and keeps them, so
   // compiled plans stay bound; Discard destroys them.
-  Status Refill();
   void Clear();
   void Discard();
 

@@ -190,23 +190,6 @@ size_t Relation::EraseRows(const Relation& to_remove) {
   return removed;
 }
 
-void Relation::CopyFrom(const Relation& other) {
-  SEPREC_CHECK(other.arity_ == arity_);
-  Clear();
-  base_ = other.base_;
-  base_slots_ = other.base_slots_;
-  base_dead_ = other.base_dead_;
-  num_rows_ = other.num_rows_;
-  num_slots_ = other.num_slots_;
-  data_ = other.data_;
-  dead_ = other.dead_;
-  row_set_ = other.row_set_;
-  if (num_slots_ > 0) ++mutation_epoch_;
-  if (accountant_ != nullptr && num_slots_ > base_slots_) {
-    accountant_->Charge((num_slots_ - base_slots_) * RowBytes());
-  }
-}
-
 Row Relation::BaseRow(size_t slot) const {
   return Row(base_->row(slot), arity_);
 }

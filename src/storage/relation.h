@@ -10,7 +10,7 @@
 // maintained incrementally, which is what the fixpoint engines need: they
 // interleave index lookups with inserts every iteration.
 //
-// Thread model: mutation (Insert/Clear/EraseRows/CopyFrom) is
+// Thread model: mutation (Insert/Clear/EraseRows) is
 // single-threaded, but concurrent READ access — including the lazy index
 // build in GetIndex, which is serialised by an internal mutex — is safe
 // while no mutator runs. Each query evaluates on one thread and writes
@@ -157,11 +157,10 @@ class Relation {
   // EraseRows was used.
   size_t slots() const { return num_slots_; }
   // Counts content mutations that can alias a (size, slots) fingerprint:
-  // erases, non-empty Clears, copies and base attaches. StatsCatalog folds
-  // it into its entry fingerprint so an erase/clear followed by inserts
-  // restoring the same extent cannot serve stale per-column statistics —
-  // the case of an overlay relation one request empties and the next
-  // refills (see Database::Refill).
+  // erases, non-empty Clears and base attaches. StatsCatalog folds it into
+  // its entry fingerprint so an erase/clear followed by inserts restoring
+  // the same extent cannot serve stale per-column statistics — the case of
+  // an overlay relation one request empties and the next fills again.
   uint64_t mutation_epoch() const { return mutation_epoch_; }
   bool IsLive(size_t slot) const {
     SEPREC_DCHECK(slot < num_slots_);
@@ -216,13 +215,6 @@ class Relation {
   // Slot ids remain stable; indexes skip dead slots. Returns the number
   // of rows removed.
   size_t EraseRows(const Relation& to_remove);
-
-  // Replaces this relation's rows with `other`'s (arities must match):
-  // the same slots, tombstones and base segment (shared, not decoded), so
-  // the copy reads exactly like the original. Only the copied delta layer
-  // is charged to the accountant; inserts are not counted. An overlay
-  // seeds a relation that shadows a stored one this way.
-  void CopyFrom(const Relation& other);
 
   // Seats an immutable, mmap-backed segment as this relation's base
   // extent. The relation must be empty (slots() == 0) and of matching

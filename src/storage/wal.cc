@@ -282,14 +282,9 @@ WalWriter::~WalWriter() {
 
 Status WalWriter::Append(const TupleBatch& batch) {
   SEPREC_RETURN_IF_ERROR(Failpoints::Check("wal.append"));
-  // EncodeBatch stores the name's length in a u16, and DecodeBatch
-  // refuses arity 0: refuse both here, before a byte is written.
-  if (batch.relation.size() > kMaxRelationNameBytes) {
-    return InvalidArgumentError(
-        StrCat("wal '", path_, "': relation name of ",
-               batch.relation.size(), " bytes exceeds the ",
-               kMaxRelationNameBytes, "-byte limit"));
-  }
+  // Replay creates the relation, and DecodeBatch refuses arity 0: refuse
+  // a name replay could not create, and arity 0, before a byte is written.
+  SEPREC_RETURN_IF_ERROR(Database::CheckRelationName(batch.relation));
   if (batch.arity == 0) {
     return InvalidArgumentError(
         StrCat("wal '", path_, "': batch for relation '", batch.relation,

@@ -76,9 +76,9 @@ class WalWriter {
 
   // Appends one record. Under FsyncPolicy::kAlways the record is fsynced
   // before returning — when Append returns OK the batch survives kill -9.
-  // A batch whose relation name exceeds kMaxRelationNameBytes, whose
-  // arity is 0, or which encodes above the record cap is refused with
-  // InvalidArgument before anything is written.
+  // A batch whose relation name Database::CheckRelationName refuses,
+  // whose arity is 0, or which encodes above the record cap is refused
+  // with InvalidArgument before anything is written.
   Status Append(const TupleBatch& batch);
 
   // Forces everything appended so far to disk (kBatch's checkpoint hook;

@@ -145,24 +145,26 @@ std::string WriteTempFile(const std::string& name,
 }
 
 TEST(Cli, TraceBalancedAcrossFallback) {
-  // The loaded 3-column `s` clashes with the 2-column support predicate, so
-  // Separable fails inside its run and the query falls back to Magic. Every
-  // engine that started — the failed one included — must still finish.
+  // Separable materialises the support predicate `s` over all of `b`, so
+  // the row unreachable from `a` overflows N * N inside its run and the
+  // query falls back to Magic, whose focused `s` never reads that row (the
+  // textual join order keeps the magic set ahead of `b`). Every engine
+  // that started — the failed one included — must still finish.
   std::string program = WriteTempFile(
       "cli_fallback.dl",
-      "s(X, Y) :- b(X, Y).\n"
+      "s(X, Y) :- b(X, Y, N) & M is N * N & M > 0.\n"
       "t(X, Y) :- s(X, Z) & t(Z, Y).\n"
       "t(X, Y) :- t0(X, Y).\n"
       "?- t(a, Y).\n");
-  std::string b = WriteTempFile("cli_fallback_b.tsv", "a\tb\n");
+  std::string b =
+      WriteTempFile("cli_fallback_b.tsv", "a\tb\t1\nx\ty\t4000000000\n");
   std::string t0 = WriteTempFile("cli_fallback_t0.tsv", "b\tc\n");
-  std::string s = WriteTempFile("cli_fallback_s.tsv", "x\ty\tz\n");
   std::string trace_path =
       StrCat(::testing::TempDir(), "/cli_fallback_trace.jsonl");
   std::remove(trace_path.c_str());
   CliResult r = RunCli(StrCat("run ", program, " --data b=", b,
-                              " --data t0=", t0, " --data s=", s,
-                              " --trace ", trace_path));
+                              " --data t0=", t0, " --no-cbo --trace ",
+                              trace_path));
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("(a, c)"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("via magic"), std::string::npos) << r.output;
@@ -191,7 +193,7 @@ TEST(Cli, TraceBalancedAcrossFallback) {
   std::map<std::string, std::pair<int, int>> expected = {
       {"separable", {1, 1}}, {"seminaive", {2, 2}}, {"magic", {1, 1}}};
   EXPECT_EQ(counts, expected);
-  for (const std::string& path : {program, b, t0, s, trace_path}) {
+  for (const std::string& path : {program, b, t0, trace_path}) {
     std::remove(path.c_str());
   }
 }
@@ -706,10 +708,10 @@ TEST(Cli, RemovedFlagsAndClientAreRejected) {
       << run.output;
 
   // The socket path is unbindable, so a serve that accepted the flag
-  // would fail with a bind error instead of this message.
+  // would fail with a bind error (exit 1) instead of this usage error.
   CliResult serve =
       RunCli("serve /nonexistent-dir/seprec.sock --no-segments");
-  EXPECT_EQ(serve.exit_code, 1) << serve.output;
+  EXPECT_EQ(serve.exit_code, 2) << serve.output;
   EXPECT_NE(serve.output.find("unknown serve flag '--no-segments'"),
             std::string::npos)
       << serve.output;
@@ -732,6 +734,15 @@ TEST(Cli, ErrorsAreClean) {
                           " --strategy bogus")).exit_code, 2);
   EXPECT_EQ(RunCli(StrCat("run ", Data("social.dl"),
                           " --data bad-spec")).exit_code, 2);
+  // So are serve's, refused before it binds the (unbindable) socket.
+  for (const char* flags :
+       {"--data bad-spec", "--fsync sometimes", "--recover lenient",
+        "--max-prepared -1"}) {
+    CliResult serve =
+        RunCli(StrCat("serve /nonexistent-dir/seprec.sock ", flags));
+    EXPECT_EQ(serve.exit_code, 2) << flags << ": " << serve.output;
+    EXPECT_NE(serve.output.find("usage:"), std::string::npos) << flags;
+  }
 }
 
 }  // namespace

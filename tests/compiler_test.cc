@@ -261,11 +261,13 @@ TEST(PreparedQuery, EvaluatesInItsOwnOverlayAndNeverCommits) {
   EXPECT_EQ(moved.Execute(query, &db)->answer.size(), 2u);
 }
 
-TEST(QueryProcessor, CopiesOfStoredRowsDoNotCountAgainstTheByteBudget) {
+TEST(QueryProcessor, ExitRuleRowsCountAgainstTheByteBudget) {
   // `edge` is IDB here (an inline fact) and also stored with 2,000 rows,
-  // so every evaluation works on its overlay's copy of them. The copy
-  // stands for rows already stored, which a request's byte budget never
-  // counted; only what the evaluation derives does.
+  // so every evaluation derives them into its overlay through the exit
+  // rule edge(X1, X2) :- edge'(X1, X2). They are derived rows like any
+  // other: a byte budget below their size stops the evaluation, one above
+  // it does not, and either way the request leaves the accountant at the
+  // stored level.
   auto qp = QueryProcessor::Create(ParseProgramOrDie(
       "edge(a, b).\n"
       "tc(X, Y) :- edge(X, Y).\n"
@@ -278,26 +280,79 @@ TEST(QueryProcessor, CopiesOfStoredRowsDoNotCountAgainstTheByteBudget) {
                     .ok());
   }
   const size_t stored = db.accountant().bytes();
-  FixpointOptions options;
-  options.limits.max_bytes = stored / 4;
+  FixpointOptions tight;
+  tight.limits.max_bytes = stored / 4;
+  FixpointOptions roomy;
+  roomy.limits.max_bytes = stored * 4;
   const Atom query = ParseAtomOrDie("tc(a, Y)");
 
   auto prepared = qp->Prepare(query, &db);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  EXPECT_EQ(db.accountant().bytes(), stored);  // the plan holds no copy
+  EXPECT_EQ(db.accountant().bytes(), stored);  // the plan holds no rows
   for (int run = 0; run < 2; ++run) {
-    auto result = prepared->Execute(query, &db, options);
+    auto stopped = prepared->Execute(query, &db, tight);
+    ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+    EXPECT_TRUE(stopped->partial);
+    ASSERT_TRUE(stopped->degradation.has_value());
+    EXPECT_EQ(stopped->degradation->cause, StopCause::kBytes);
+    EXPECT_EQ(db.accountant().bytes(), stored);
+    auto result = prepared->Execute(query, &db, roomy);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_FALSE(result->partial);
     EXPECT_EQ(result->answer.size(), 1u);
     EXPECT_EQ(db.accountant().bytes(), stored);
   }
 
-  auto answered = qp->Answer(query, &db, Strategy::kAuto, options);
+  auto stopped = qp->Answer(query, &db, Strategy::kAuto, tight);
+  ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+  EXPECT_TRUE(stopped->partial);
+  EXPECT_EQ(db.accountant().bytes(), stored);  // nothing committed
+  auto answered = qp->Answer(query, &db, Strategy::kAuto, roomy);
   ASSERT_TRUE(answered.ok()) << answered.status().ToString();
   EXPECT_FALSE(answered->partial);
   EXPECT_EQ(answered->answer.size(), 1u);
   EXPECT_EQ(db.Find("edge")->size(), 2001u);  // committed: the inline fact
+}
+
+TEST(PreparedQuery, APlanPreparedBeforeItsPredicateWasStoredIsRefused) {
+  // Right-linear, so the stored tc row (c, z) extends every path to c.
+  auto qp = QueryProcessor::Create(ParseProgramOrDie(
+      "tc(X, Y) :- edge(X, W), tc(W, Y).\n"
+      "tc(X, Y) :- edge(X, Y).\n"));
+  ASSERT_TRUE(qp.ok());
+  Database db;
+  ASSERT_TRUE(db.AddFact("edge", {"a", "b"}).ok());
+  ASSERT_TRUE(db.AddFact("edge", {"b", "c"}).ok());
+  const Atom query = ParseAtomOrDie("tc(a, Y)");
+  auto before = qp->Prepare(query, &db);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_FALSE(before->Stale());
+  ASSERT_TRUE(db.AddFact("edge", {"c", "d"}).ok());
+  EXPECT_FALSE(before->Stale());  // `edge` is not derived
+  EXPECT_EQ(before->Execute(query, &db)->answer.size(), 3u);
+
+  ASSERT_TRUE(db.AddFact("tc", {"c", "z"}).ok());
+  EXPECT_TRUE(before->Stale());
+  EXPECT_EQ(before->Execute(query, &db).status().code(),
+            StatusCode::kFailedPrecondition);
+  auto after = qp->Prepare(query, &db);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after->Stale());
+  auto result = after->Execute(query, &db);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->answer.ToStrings(db.symbols()),
+            (std::vector<std::string>{"(a, b)", "(a, c)", "(a, d)",
+                                      "(a, z)"}));
+
+  // A stored `tc` of another arity cannot be facts of tc/2.
+  Database other;
+  ASSERT_TRUE(other.AddFact("edge", {"a", "b"}).ok());
+  ASSERT_TRUE(other.AddFact("tc", {"a", "b", "c"}).ok());
+  EXPECT_EQ(qp->Prepare(query, &other).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(qp->Answer(query, &other).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(other.RelationNames(), (std::vector<std::string>{"edge", "tc"}));
 }
 
 }  // namespace

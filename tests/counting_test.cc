@@ -52,6 +52,39 @@ TEST(CountingTransform, RejectsBoundFreeLink) {
   EXPECT_EQ(rewrite.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(CountingTransform, RejectsADescentThatPassesTheBoundColumnsOn) {
+  // count(I+1, X) :- count(I, X) would add a level every round, whatever
+  // the data: left-linear tc, Example 1.2's `buys`, and a recursion that
+  // only permutes its bound columns are refused before the rewrite.
+  const char* programs[][2] = {
+      {"tc(X, Y) :- tc(X, Z) & edge(Z, Y).\n"
+       "tc(X, Y) :- edge(X, Y).",
+       "tc(a, Y)"},
+      {"buys(X, Y) :- friend(X, W) & buys(W, Y).\n"
+       "buys(X, Y) :- buys(X, W) & cheaper(Y, W).\n"
+       "buys(X, Y) :- perfectFor(X, Y).",
+       "buys(tom, Y)"},
+      {"t(X, Y, Z) :- t(Y, X, W) & a(W, Z).\n"
+       "t(X, Y, Z) :- t0(X, Y, Z).",
+       "t(c, d, Z)"},
+  };
+  for (const auto& [text, query] : programs) {
+    auto rewrite =
+        CountingTransform(ParseProgramOrDie(text), ParseAtomOrDie(query));
+    EXPECT_EQ(rewrite.status().code(), StatusCode::kFailedPrecondition)
+        << query;
+    EXPECT_NE(rewrite.status().message().find("never ends"),
+              std::string::npos)
+        << rewrite.status().ToString();
+  }
+  // The rule that moves the bound column still rewrites.
+  EXPECT_TRUE(CountingTransform(ParseProgramOrDie(
+                                    "tc(X, Y) :- edge(X, Z) & tc(Z, Y).\n"
+                                    "tc(X, Y) :- edge(X, Y)."),
+                                ParseAtomOrDie("tc(a, Y)"))
+                  .ok());
+}
+
 TEST(CountingTransform, RejectsShiftingAcrossSides) {
   Program p = ParseProgramOrDie(
       "t(X, Y) :- a(X, W) & t(W, X).\n"  // head X reappears on free side

@@ -10,6 +10,8 @@
 #include "gen/generators.h"
 #include "gen/workloads.h"
 #include "magic/engine.h"
+#include "util/string_util.h"
+#include "util/timer.h"
 
 namespace seprec {
 namespace {
@@ -191,6 +193,40 @@ TEST(Qsqr, AvailableAsForcedStrategy) {
   EXPECT_EQ(result->answer.size(), 7u);
   EXPECT_EQ(result->stats.algorithm, "qsqr");
   EXPECT_EQ(StrategyToString(Strategy::kQsqr), "qsqr");
+}
+
+// The chain p0(X) :- p1(X). ... p{n-1}(X) :- e(X). with e(a). takes 3n + 3
+// passes, each adding at most one tuple. A pass runs only the sweeps whose
+// input changed, so time grows about linearly with n: four times the rules
+// may take at most about ten times as long, judged within one run.
+TEST(Qsqr, ChainTimeGrowsAboutLinearly) {
+  auto best_seconds = [](size_t n) {
+    std::string text;
+    for (size_t i = 0; i + 1 < n; ++i) {
+      text += StrCat("p", i, "(X) :- p", i + 1, "(X).\n");
+    }
+    text += StrCat("p", n - 1, "(X) :- e(X).\ne(a).\n");
+    const Program program = ParseProgramOrDie(text);
+    const Atom query = ParseAtomOrDie("p0(a)");
+    double best = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      Database db;
+      WallTimer timer;
+      auto run = EvaluateWithQsqr(program, query, &db);
+      const double seconds = timer.Seconds();
+      EXPECT_TRUE(run.ok()) << run.status().ToString();
+      if (run.ok()) {
+        EXPECT_EQ(run->answer.size(), 1u);
+        EXPECT_EQ(run->stats.iterations, 3 * n + 3);
+      }
+      if (rep == 0 || seconds < best) best = seconds;
+    }
+    return best;
+  };
+  const double small = best_seconds(500);
+  const double large = best_seconds(2000);
+  EXPECT_LT(large, 10 * small)
+      << "500 rules: " << small << " s, 2,000 rules: " << large << " s";
 }
 
 }  // namespace

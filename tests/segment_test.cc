@@ -325,23 +325,24 @@ TEST_F(SegmentTest, OverlayWritesLeaveSegmentBackedRelationAlone) {
   const Value gone = Value::Int(100);
   const Value kept = Value::Int(3);
   {
-    // An evaluation's appends land in the overlay's copy, which shares
-    // the immutable segment instead of decoding it.
+    // An evaluation's appends land in the overlay's own relation, which
+    // starts empty and shadows the segment-backed one; the stored rows
+    // stay reachable under their reserved name.
     Database overlay(&loaded);
-    Relation* copy = *overlay.CreateRelation("t", 1);
-    EXPECT_EQ(copy->base_segment(), t->base_segment());
-    EXPECT_EQ(copy->delta_rows(), 0u);
-    ASSERT_TRUE(copy->Insert({Value::Int(100)}));
-    ASSERT_TRUE(copy->Insert({Value::Int(101)}));
-    EXPECT_EQ(copy->size(), 12u);
+    Relation* shadow = *overlay.CreateRelation("t", 1);
+    EXPECT_TRUE(shadow->empty());
+    EXPECT_EQ(shadow->base_segment(), nullptr);
+    ASSERT_TRUE(shadow->Insert({Value::Int(100)}));
+    ASSERT_TRUE(shadow->Insert({Value::Int(101)}));
+    EXPECT_EQ(shadow->size(), 2u);
+    EXPECT_EQ(overlay.Find("t"), shadow);
+    EXPECT_EQ(overlay.Find(Database::StoredRowsName("t")), t);
     EXPECT_EQ(t->size(), 10u);
     EXPECT_FALSE(t->Contains(Row(&gone, 1)));
 
-    ASSERT_TRUE(overlay.Refill().ok());
-    EXPECT_EQ(copy->size(), 10u);
-    EXPECT_EQ(copy->delta_rows(), 0u);
-    EXPECT_FALSE(copy->Contains(Row(&gone, 1)));
-    EXPECT_TRUE(copy->Contains(Row(&kept, 1)));
+    overlay.Clear();
+    EXPECT_EQ(overlay.Find("t"), shadow);
+    EXPECT_TRUE(shadow->empty());
   }
   EXPECT_EQ(t->size(), 10u);
   EXPECT_EQ(t->delta_rows(), 0u);

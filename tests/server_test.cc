@@ -181,30 +181,43 @@ TEST(QueryService, PlanPreparedBeforeItsRelationExistsSeesLaterLoads) {
             (std::vector<std::string>{"(a, b)", "(a, c)"}));
 }
 
-TEST(QueryService, StoredRowsOfAnIdbPredicateAnswerAsBefore) {
-  // kTcProgram states edge facts inline, so `edge` is IDB there. Its
-  // stored rows count for separable and semi-naive evaluation, which read
-  // the relation itself; the Magic rewrite reads `edge` through its
-  // adorned rules, so there only the inline facts count. A request leaves
-  // the stored rows as they were.
+TEST(QueryService, StoredRowsOfAnIdbPredicateAreFactsForEveryStrategy) {
+  // The program states edge facts inline, so `edge` is IDB there, and its
+  // stored rows are facts of it under every strategy: the plan evaluates
+  // them through the exit rule edge(X1, X2) :- edge'(X1, X2). It is
+  // kTcProgram made right-linear, so Counting applies too; on kTcProgram
+  // itself Counting refuses tc(a, Y), whose descent would never end. A
+  // request leaves the stored rows as they were.
   Database db;
   QueryService service(&db);
   ASSERT_TRUE(LoadRows(&service, "edge", "c\td\nd\te\n").ok());
+  ServiceRequest counting = TcRequest("tc(a, Y)");
+  counting.strategy = Strategy::kCounting;
+  EXPECT_EQ(service.Execute(counting).status().code(),
+            StatusCode::kFailedPrecondition);
   const std::vector<std::string> with_stored = {"(a, b)", "(a, c)",
                                                 "(a, d)", "(a, e)"};
-  const std::vector<std::string> inline_only = {"(a, b)", "(a, c)",
-                                                "(a, d)"};
   for (Strategy strategy :
-       {Strategy::kSeparable, Strategy::kMagic, Strategy::kSemiNaive}) {
+       {Strategy::kAuto, Strategy::kSeparable, Strategy::kMagic,
+        Strategy::kCounting, Strategy::kQsqr, Strategy::kSemiNaive,
+        Strategy::kNaive}) {
     for (int round = 0; round < 2; ++round) {  // plan miss, then hit
-      ServiceRequest req = TcRequest("tc(a, Y)");
+      ServiceRequest req;
+      req.program =
+          "edge(a, b).\n"
+          "edge(b, c).\n"
+          "edge(c, d).\n"
+          "tc(X, Y) :- edge(X, Y).\n"
+          "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n";
+      req.query = "tc(a, Y)";
       req.strategy = strategy;
       auto out = service.Execute(req);
       ASSERT_TRUE(out.ok()) << out.status().ToString();
-      EXPECT_EQ((*out)[0].result.strategy, strategy);
-      EXPECT_EQ((*out)[0].tuples,
-                strategy == Strategy::kMagic ? inline_only : with_stored)
-          << StrategyToString(strategy);
+      EXPECT_EQ((*out)[0].plan_cache_hit, round == 1);
+      EXPECT_EQ((*out)[0].result.strategy, strategy == Strategy::kAuto
+                                               ? Strategy::kSeparable
+                                               : strategy);
+      EXPECT_EQ((*out)[0].tuples, with_stored) << StrategyToString(strategy);
       EXPECT_EQ(db.RelationNames(), std::vector<std::string>{"edge"});
       EXPECT_EQ(db.Find("edge")->DebugString(db.symbols()),
                 "edge(c, d)\nedge(d, e)\n");
@@ -212,9 +225,45 @@ TEST(QueryService, StoredRowsOfAnIdbPredicateAnswerAsBefore) {
   }
 }
 
+TEST(QueryService, PlanCachedBeforeItsPredicateWasStoredAnswersWithIt) {
+  // The plan for tc(a, Y) is cached while no `tc` rows are stored. After
+  // a load stores some, its next request prepares it again, so the rows
+  // enter as the exit rule tc(X1, X2) :- tc'(X1, X2), and no request
+  // fails. Right-linear, so the stored (c, z) extends the path to c.
+  for (Strategy strategy :
+       {Strategy::kSeparable, Strategy::kMagic, Strategy::kSemiNaive}) {
+    Database db;
+    QueryService service(&db);
+    ASSERT_TRUE(LoadRows(&service, "edge", "a\tb\nb\tc\n").ok());
+    ServiceRequest req;
+    req.program =
+        "tc(X, Y) :- edge(X, W), tc(W, Y).\n"
+        "tc(X, Y) :- edge(X, Y).\n";
+    req.query = "tc(a, Y)";
+    req.strategy = strategy;
+    auto before = service.Execute(req);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    EXPECT_EQ((*before)[0].tuples,
+              (std::vector<std::string>{"(a, b)", "(a, c)"}));
+    ASSERT_TRUE(LoadRows(&service, "tc", "c\tz\n").ok());
+    const std::vector<std::string> with_stored = {"(a, b)", "(a, c)",
+                                                  "(a, z)"};
+    for (int round = 0; round < 2; ++round) {  // prepared again, then hit
+      auto after = service.Execute(req);
+      ASSERT_TRUE(after.ok()) << after.status().ToString();
+      EXPECT_EQ((*after)[0].plan_cache_hit, round == 1);
+      EXPECT_EQ((*after)[0].result.strategy, strategy);
+      EXPECT_EQ((*after)[0].tuples, with_stored) << StrategyToString(strategy);
+    }
+    EXPECT_EQ(service.stats().plans, 1u);
+    EXPECT_EQ(db.RelationNames(), (std::vector<std::string>{"edge", "tc"}));
+  }
+}
+
 TEST(QueryService, RequestLeavesTheAccountantAtItsLevel) {
-  // kTcProgram's `edge` is IDB and stored too, so its plans copy the
-  // stored rows into their overlays; a cached plan must not keep the copy.
+  // kTcProgram's `edge` is IDB and stored too, so its plans derive the
+  // stored rows into their overlays through the exit rule; a cached plan
+  // must not keep them.
   Database db;
   ServiceOptions options;
   options.max_closures = 0;  // a stored closure would keep its relations
@@ -362,17 +411,30 @@ TEST(QueryService, LoadMaintainsCachedClosure) {
 
   auto after = service.Execute(TcRequest("tc(a, X)"));
   ASSERT_TRUE(after.ok());
-  // Plan survives (database-independent). The generation bumps, but the
-  // cached closure survives it: tc(a, X) binds a persistent column, so
-  // its phase-1 closure is data-independent (kConstant) and is re-keyed
-  // onto the new generation instead of invalidated. The answer still
-  // reflects the new tuple — phase 2 reads the mutated relations.
-  EXPECT_TRUE((*after)[0].plan_cache_hit);
+  // `edge` is IDB in kTcProgram (inline facts), so this first load stores
+  // a predicate the cached plan derives: the plan is prepared again, with
+  // the stored rows as an exit rule. The generation bumps, but the cached
+  // closure survives it: tc(a, X) binds a persistent column, so its
+  // phase-1 closure is data-independent (kConstant) and is re-keyed onto
+  // the new generation instead of invalidated. The answer still reflects
+  // the new tuple — phase 2 reads the mutated relations.
+  EXPECT_FALSE((*after)[0].plan_cache_hit);
   EXPECT_TRUE((*after)[0].closure_cache_hit);
   EXPECT_GT((*after)[0].generation, gen_before);
   EXPECT_EQ((*after)[0].tuples,
             (std::vector<std::string>{"(a, b)", "(a, c)", "(a, d)",
                                       "(a, e)"}));
+
+  // Later loads into the stored `edge` leave the new plan current.
+  std::istringstream more("e\tf\n");
+  ASSERT_TRUE(service.LoadTsv("edge", more).ok());
+  auto later = service.Execute(TcRequest("tc(a, X)"));
+  ASSERT_TRUE(later.ok());
+  EXPECT_TRUE((*later)[0].plan_cache_hit);
+  EXPECT_TRUE((*later)[0].closure_cache_hit);
+  EXPECT_EQ((*later)[0].tuples,
+            (std::vector<std::string>{"(a, b)", "(a, c)", "(a, d)",
+                                      "(a, e)", "(a, f)"}));
 }
 
 // Rules only: with the edge facts LOADED rather than in the program text,

@@ -368,7 +368,7 @@ TEST(DatabaseOverlay, FindFallsThroughToTheBase) {
   EXPECT_NE(base.Find("edge"), nullptr);
 }
 
-TEST(DatabaseOverlay, CreatesLocallyAndSeedsAShadowFromTheBase) {
+TEST(DatabaseOverlay, CreatesLocallyAndShadowsTheBaseWithAnEmptyRelation) {
   Database base;
   ASSERT_TRUE(base.AddFact("edge", {"a", "b"}).ok());
   Relation* edge = base.Find("edge");
@@ -380,10 +380,10 @@ TEST(DatabaseOverlay, CreatesLocallyAndSeedsAShadowFromTheBase) {
   Relation* shadow = *overlay.CreateRelation("edge", 2);
   EXPECT_NE(shadow, edge);
   EXPECT_EQ(overlay.Find("edge"), shadow);
-  EXPECT_EQ(shadow->DebugString(base.symbols()), "edge(a, b)\n");
+  EXPECT_TRUE(shadow->empty());
   ASSERT_TRUE(shadow->Insert({base.symbols().Intern("c"),
                               base.symbols().Intern("d")}));
-  EXPECT_EQ(edge->size(), 1u);
+  EXPECT_EQ(edge->DebugString(base.symbols()), "edge(a, b)\n");
   EXPECT_EQ(overlay.CreateRelation("edge", 3).status().code(),
             StatusCode::kInvalidArgument);
 
@@ -412,24 +412,24 @@ TEST(DatabaseOverlay, AccountantCountsTheLayerAndPassesChargesOn) {
   const Value v = base.symbols().Intern("v");
   ASSERT_TRUE((*one.CreateRelation("tc", 2))->Insert({v, v}));
   ASSERT_TRUE((*two.CreateRelation("tc", 2))->Insert({v, v}));
-  // A shadow's copy of the stored row is charged to its layer too.
+  // A shadow of a stored relation starts empty: nothing to charge.
   ASSERT_TRUE(two.CreateRelation("edge", 2).ok());
   EXPECT_EQ(one.accountant().bytes(), row_bytes);
-  EXPECT_EQ(two.accountant().bytes(), 2 * row_bytes);
-  EXPECT_EQ(base.accountant().bytes(), stored + 3 * row_bytes);
+  EXPECT_EQ(two.accountant().bytes(), row_bytes);
+  EXPECT_EQ(base.accountant().bytes(), stored + 2 * row_bytes);
 
   // Releasing one layer's rows moves the base's total, never another
   // layer's: a governor reading `two` sees only its own evaluation.
   one.Clear();
   EXPECT_EQ(one.accountant().bytes(), 0u);
-  EXPECT_EQ(two.accountant().bytes(), 2 * row_bytes);
-  EXPECT_EQ(base.accountant().bytes(), stored + 2 * row_bytes);
+  EXPECT_EQ(two.accountant().bytes(), row_bytes);
+  EXPECT_EQ(base.accountant().bytes(), stored + row_bytes);
   two.Discard();
   EXPECT_EQ(two.accountant().bytes(), 0u);
   EXPECT_EQ(base.accountant().bytes(), stored);
 }
 
-TEST(DatabaseOverlay, RefillAndClearEmptyTheOverlay) {
+TEST(DatabaseOverlay, ClearEmptiesTheOverlayAndKeepsItsRelations) {
   Database base;
   ASSERT_TRUE(base.AddFact("edge", {"a", "b"}).ok());
   const size_t stored = base.accountant().bytes();
@@ -442,16 +442,11 @@ TEST(DatabaseOverlay, RefillAndClearEmptyTheOverlay) {
   ASSERT_TRUE(shadow->Insert({a, z}));
   ASSERT_TRUE(base.AddFact("edge", {"b", "c"}).ok());
 
-  ASSERT_TRUE(overlay.Refill().ok());
-  // The relations stay (compiled plans bind them), empty; a shadow holds
-  // exactly the base's current rows.
+  // The relations stay (compiled plans bind them), empty, and nothing of
+  // the overlay stays charged.
+  overlay.Clear();
   EXPECT_EQ(overlay.Find("tc"), tc);
   EXPECT_TRUE(tc->empty());
-  EXPECT_EQ(overlay.Find("edge"), shadow);
-  EXPECT_EQ(shadow->DebugString(base.symbols()), "edge(a, b)\nedge(b, c)\n");
-
-  // Clear empties the shadow too, so nothing of the overlay stays charged.
-  overlay.Clear();
   EXPECT_EQ(overlay.Find("edge"), shadow);
   EXPECT_TRUE(shadow->empty());
   EXPECT_EQ(overlay.accountant().bytes(), 0u);
@@ -459,21 +454,47 @@ TEST(DatabaseOverlay, RefillAndClearEmptyTheOverlay) {
             stored + 2 * sizeof(Value) + MemoryAccountant::kRowOverheadBytes);
 }
 
-TEST(DatabaseOverlay, RefillRefusesARelationNowStoredWithAnotherArity) {
-  Database base;
-  Database overlay(&base);
-  const Value a = base.symbols().Intern("a");
-  ASSERT_TRUE((*overlay.CreateRelation("tc", 2))->Insert({a, a}));
-  // The base did not hold "tc" when the overlay made it; now it does.
-  ASSERT_TRUE(base.AddFact("tc", {"a", "b", "c"}).ok());
-  Status refill = overlay.Refill();
-  EXPECT_EQ(refill.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refill.message().find("arity 3"), std::string::npos);
-  EXPECT_EQ(overlay.Find("tc")->arity(), 2u);
-  EXPECT_EQ(overlay.Find("tc")->size(), 1u);  // nothing refilled
-  base.Drop("tc");
-  ASSERT_TRUE(overlay.Refill().ok());
-  EXPECT_TRUE(overlay.Find("tc")->empty());
+TEST(DatabaseOverlay, StoredRowsNameResolvesInTheRootOnly) {
+  Database root;
+  ASSERT_TRUE(root.AddFact("tc", {"a", "b"}).ok());
+  Relation* stored = root.Find("tc");
+  Database outer(&root);
+  Database inner(&outer);
+  Relation* shadow = *inner.CreateRelation("tc", 2);
+  ASSERT_TRUE(outer.CreateRelation("hop", 2).ok());
+  const std::string tc_rows = Database::StoredRowsName("tc");
+  EXPECT_EQ(tc_rows, "tc'");
+
+  // Every layer resolves tc' to the root's tc, never to a shadow, and
+  // never to a relation of an overlay.
+  EXPECT_EQ(inner.Find("tc"), shadow);
+  EXPECT_EQ(inner.Find(tc_rows), stored);
+  EXPECT_EQ(outer.Find(tc_rows), stored);
+  EXPECT_EQ(root.Find(tc_rows), stored);
+  EXPECT_EQ(*inner.FindOrCreate(tc_rows, 2), stored);
+  EXPECT_EQ(inner.FindOrCreate(tc_rows, 3).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(inner.Find(Database::StoredRowsName("hop")), nullptr);
+
+  // Nothing creates a relation under the reserved name: not a load into
+  // the root, not an engine in an overlay, not FindOrCreate.
+  for (Database* layer : {&root, &outer, &inner}) {
+    EXPECT_EQ(layer->CreateRelation(tc_rows, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(layer->FindOrCreate(Database::StoredRowsName("hop"), 2)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(root.AddFact(tc_rows, {"c", "d"}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Database::CheckRelationName(tc_rows).code(),
+            StatusCode::kInvalidArgument);
+  // '$' names are scratch, whatever they end with.
+  EXPECT_TRUE(Database::CheckRelationName("$inc_tc'").ok());
+  EXPECT_EQ(root.RelationNames(), std::vector<std::string>{"tc"});
+  EXPECT_EQ(outer.RelationNames(), std::vector<std::string>{"hop"});
+  EXPECT_EQ(inner.RelationNames(), std::vector<std::string>{"tc"});
 }
 
 TEST(DatabaseOverlay, DestroyingLeavesTheBaseUnchanged) {
@@ -525,11 +546,9 @@ TEST(DatabaseOverlay, CommitMovesNewRelationsAndMergesStoredOnes) {
   EXPECT_EQ(base.Find("tc"), tc);
   EXPECT_EQ(base.Find("edge")->DebugString(base.symbols()),
             "edge(a, b)\nedge(a, c)\n");
-  // The merged copy's two rows are released, and the stored relation is
-  // charged for the one row it gained; the moved relation keeps its own.
-  const size_t row_bytes =
-      2 * sizeof(Value) + MemoryAccountant::kRowOverheadBytes;
-  EXPECT_EQ(base.accountant().bytes(), bytes - row_bytes);
+  // The merged relation's row is released and the stored relation is
+  // charged for the row it gained; the moved relation keeps its own.
+  EXPECT_EQ(base.accountant().bytes(), bytes);
   EXPECT_EQ(overlay.accountant().bytes(), 0u);
 }
 

@@ -140,6 +140,21 @@ TEST_F(WalTest, OversizedRelationNameIsRefused) {
             std::string(kMaxRelationNameBytes, 'r'));
 }
 
+// Replay creates each batch's relation, so a name CreateRelation refuses
+// (the reserved stored-rows spelling p') is refused before it is logged.
+TEST_F(WalTest, ReservedRelationNameIsRefused) {
+  auto writer = WalWriter::Open(path_, FsyncPolicy::kOff);
+  ASSERT_TRUE(writer.ok());
+  const uint64_t before = (*writer)->offset();
+  Status status =
+      (*writer)->Append(MakeBatch(Database::StoredRowsName("tc"), 2));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ((*writer)->offset(), before);
+  auto read = ReadWal(path_);
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->records.empty());
+}
+
 // A 19-byte record whose CRC is correct but whose counts the payload
 // cannot hold: the decoder must refuse it before sizing anything, with
 // the usual verdicts — torn as the last record, corrupt before another.

@@ -146,6 +146,12 @@ int Usage() {
   return 2;
 }
 
+// A malformed command line: the message, then the usage text (exit 2).
+int UsageError(const std::string& message) {
+  Fail(message);
+  return Usage();
+}
+
 StatusOr<ParsedUnit> LoadUnit(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -636,20 +642,20 @@ int ServeCommand(const std::string& socket_path, int argc, char** argv,
       std::string spec = argv[++i];
       size_t eq = spec.find('=');
       if (eq == std::string::npos) {
-        return Fail(StrCat("--data expects REL=FILE, got '", spec, "'"));
+        return UsageError(StrCat("--data expects REL=FILE, got '", spec, "'"));
       }
       data.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
       continue;
     }
     if (arg == "--max-prepared" && i + 1 < argc) {
       StatusOr<int64_t> v = ParseCount(arg, argv[++i]);
-      if (!v.ok()) return Fail(v.status().ToString());
+      if (!v.ok()) return UsageError(v.status().ToString());
       service_options.max_prepared = static_cast<size_t>(*v);
       continue;
     }
     if (arg == "--max-closures" && i + 1 < argc) {
       StatusOr<int64_t> v = ParseCount(arg, argv[++i]);
-      if (!v.ok()) return Fail(v.status().ToString());
+      if (!v.ok()) return UsageError(v.status().ToString());
       service_options.max_closures = static_cast<size_t>(*v);
       continue;
     }
@@ -663,7 +669,7 @@ int ServeCommand(const std::string& socket_path, int argc, char** argv,
     }
     if (arg == "--fsync" && i + 1 < argc) {
       StatusOr<FsyncPolicy> p = ParseFsyncPolicy(argv[++i]);
-      if (!p.ok()) return Fail(p.status().ToString());
+      if (!p.ok()) return UsageError(p.status().ToString());
       durability.fsync = *p;
       continue;
     }
@@ -674,18 +680,18 @@ int ServeCommand(const std::string& socket_path, int argc, char** argv,
       } else if (mode == "tolerant") {
         durability.tolerant = true;
       } else {
-        return Fail(StrCat("--recover expects strict|tolerant, got '",
-                           mode, "'"));
+        return UsageError(
+            StrCat("--recover expects strict|tolerant, got '", mode, "'"));
       }
       continue;
     }
     if (arg == "--checkpoint-bytes" && i + 1 < argc) {
       StatusOr<int64_t> v = ParseCount(arg, argv[++i]);
-      if (!v.ok()) return Fail(v.status().ToString());
+      if (!v.ok()) return UsageError(v.status().ToString());
       durability.checkpoint_bytes = static_cast<uint64_t>(*v);
       continue;
     }
-    return Fail(StrCat("unknown serve flag '", arg, "'"));
+    return UsageError(StrCat("unknown serve flag '", arg, "'"));
   }
 
   Database db;
@@ -752,10 +758,7 @@ int Main(int argc, char** argv) {
   std::string path = argv[2];
   if (command == "run") {
     StatusOr<CommonFlags> flags = ParseFlags(argc, argv, 3);
-    if (!flags.ok()) {
-      Fail(flags.status().ToString());
-      return Usage();
-    }
+    if (!flags.ok()) return UsageError(flags.status().ToString());
     return RunCommand(path, *flags);
   }
   if (command == "check") {
@@ -774,10 +777,7 @@ int Main(int argc, char** argv) {
   if (command == "why") {
     if (argc < 4) return Usage();
     StatusOr<CommonFlags> flags = ParseFlags(argc, argv, 4);
-    if (!flags.ok()) {
-      Fail(flags.status().ToString());
-      return Usage();
-    }
+    if (!flags.ok()) return UsageError(flags.status().ToString());
     return WhyCommand(path, argv[3], *flags);
   }
   if (command == "serve") {
